@@ -273,23 +273,31 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{manifest}: not valid JSON: {e}") from e
     if doc.get("format") != "radiofield-dataset":
         raise FormatError(f"{manifest}: not a dataset manifest")
-    scene = doc["scene"]
-    normalization = float(scene["normalization"])
-    if normalization <= 0:
-        raise FormatError(f"{manifest}: normalization must be positive")
-    geometry = SceneGeometry(
-        rx_position=np.array(scene["rx_position"], dtype=np.float64),
-        bbox=Aabb(np.array(scene["bbox"]["min_corner"], dtype=np.float64),
-                  np.array(scene["bbox"]["max_corner"], dtype=np.float64)),
-        spectrum_res=tuple(scene["spectrum_res"]),
-    )
-    records = []
-    for rec in doc["records"]:
-        records.append(DatasetRecord(
-            tx_position=np.array(rec["tx_position"], dtype=np.float64),
-            spectrum_path=rec["spectrum_path"],
-            rssi_dbm=rec.get("rssi_dbm"),
-        ))
+    try:
+        scene = doc["scene"]
+        normalization = float(scene["normalization"])
+        if normalization <= 0:
+            raise FormatError(f"{manifest}: normalization must be positive")
+        geometry = SceneGeometry(
+            rx_position=np.array(scene["rx_position"], dtype=np.float64),
+            bbox=Aabb(np.array(scene["bbox"]["min_corner"], dtype=np.float64),
+                      np.array(scene["bbox"]["max_corner"], dtype=np.float64)),
+            spectrum_res=tuple(scene["spectrum_res"]),
+        )
+        records = []
+        for rec in doc["records"]:
+            records.append(DatasetRecord(
+                tx_position=np.array(rec["tx_position"], dtype=np.float64),
+                spectrum_path=rec["spectrum_path"],
+                rssi_dbm=rec.get("rssi_dbm"),
+            ))
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"{manifest}: missing or malformed field "
+                          f"({type(e).__name__}: {e})") from e
+    for i, rec in enumerate(records):
+        if rec.tx_position.shape != (3,) or not np.all(np.isfinite(rec.tx_position)):
+            raise FormatError(f"{manifest}: record {i} tx_position must be three "
+                              f"finite numbers, got {rec.tx_position.tolist()}")
     for rec in records:
         spath = base / rec.spectrum_path
         if not spath.exists():
@@ -444,9 +452,13 @@ def load_checkpoint(path):
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes at byte offset {off}")
 
-    dims = tuple(meta["grid_dims"])
-    feature_dim = int(meta["feature_dim"])
-    bbox = Aabb(np.array(meta["bbox_min"]), np.array(meta["bbox_max"]))
+    try:
+        dims = tuple(meta["grid_dims"])
+        feature_dim = int(meta["feature_dim"])
+        bbox = Aabb(np.array(meta["bbox_min"]), np.array(meta["bbox_max"]))
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"{path}: missing or malformed metadata "
+                          f"({type(e).__name__}: {e})") from e
     n_nodes = dims[0] * dims[1] * dims[2]
     for name, want in (("density_grid", (n_nodes, 1)),
                        ("feature_grid", (n_nodes, feature_dim))):
@@ -483,6 +495,9 @@ def load_checkpoint(path):
             density_bias=float(meta["density_bias"]),
             deform_enabled=bool(meta["deform_enabled"]),
         )
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"{path}: missing or malformed metadata "
+                          f"({type(e).__name__}: {e})") from e
     except ValueError as e:
         raise FormatError(f"{path}: inconsistent tensor shapes: {e}") from e
     return model, meta

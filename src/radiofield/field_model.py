@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .voxel_grid import Aabb, VoxelGrid, init_grid, interpolate, interpolate_backward
+from .voxel_grid import Aabb, VoxelGrid, init_grid, interpolate
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -354,34 +354,3 @@ def query_signal(model: FieldModel, x: np.ndarray, tx: np.ndarray,
     s = signal_forward(model, feat, enc_tx, enc_x, enc_d)
     return float(s[0]) if single else s
 
-
-def model_backward(model: FieldModel, x: np.ndarray, tx: np.ndarray,
-                   direction: np.ndarray, d_sigma: np.ndarray, d_signal: np.ndarray,
-                   grads: GradientSet) -> None:
-    """Accumulate parameter gradients for a batch of samples.
-
-    d_sigma and d_signal are the loss gradients with respect to the density
-    and signal outputs of each sample; both propagate through the activation
-    derivatives, the MLPs, and the trilinear scatters.
-    """
-    _check_unit(direction)
-    xs = np.atleast_2d(x)
-    n = xs.shape[0]
-    d_sigma = np.broadcast_to(np.asarray(d_sigma, dtype=np.float64).reshape(-1), (n,))
-    d_signal = np.broadcast_to(np.asarray(d_signal, dtype=np.float64).reshape(-1), (n,))
-    txs = np.broadcast_to(np.atleast_2d(tx), (n, 3))
-    dirs = np.broadcast_to(np.atleast_2d(direction), (n, 3))
-
-    # density path: d(raw) = d_sigma * softplus'(raw + bias)
-    raw = interpolate(model.density_grid, xs)[:, 0]
-    d_raw = d_sigma * sigmoid(raw + model.density_bias)
-    interpolate_backward(model.density_grid, xs, d_raw[:, None], grads["density_grid"])
-
-    # signal path
-    feat = interpolate(model.feature_grid, xs)
-    enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-    enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos)
-    enc_d = positional_encode(dirs, model.enc_dir)
-    _, cache = signal_forward(model, feat, enc_tx, enc_x, enc_d, want_cache=True)
-    d_feat = signal_backward(model, cache, d_signal, grads)
-    interpolate_backward(model.feature_grid, xs, d_feat, grads["feature_grid"])

@@ -5,6 +5,15 @@ measured from the horizon) on an M x N grid of cell-center directions. Each
 ray is clipped to the scene box, sampled uniformly, and composited with the
 standard emission-absorption model; samples whose density falls below a
 threshold are skipped as empty space.
+
+One ray engine serves rendering, tracing and training: a `SampleTable` holds
+the samples and shared trilinear support of a set of directions,
+`forward_segments` renders any of its rays for any transmitters with the
+compositing of all rays done over per-ray segments in one pass, and
+`backward_segments` is its adjoint. A spectrum render is the forward over
+every ray of a full-spectrum table, `trace_ray` the forward over a
+one-direction table, and the trainer's batches the forward over cells of its
+stage table.
 """
 
 from __future__ import annotations
@@ -13,14 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import field_model, voxel_grid
 from .field_model import (
     FieldModel,
+    GradientSet,
     positional_encode,
-    query_density,
+    sigmoid,
     signal_forward,
     softplus,
 )
-from .voxel_grid import Aabb, interp_support, interpolate
+from .voxel_grid import Aabb
 
 
 @dataclass
@@ -131,10 +142,11 @@ def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
 
 
 def composite(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray):
-    """Front-to-back emission-absorption compositing of one ray.
+    """Front-to-back emission-absorption compositing of one ray: the one-ray
+    case of `composite_segments`.
 
     alpha_i = 1 - exp(-sigma_i * delta_i); T_i is the transmittance reaching
-    sample i; the ray accumulates R = sum T_i * alpha_i * S_i in one pass.
+    sample i; the ray accumulates R = sum T_i * alpha_i * S_i.
 
     Returns (R, T_K, w) where T_K is the transmittance leaving the box and w
     the per-sample contribution weights (w.sum() + T_K == 1).
@@ -150,47 +162,9 @@ def composite(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray):
         raise ValueError("negative volume density")
     if np.any(spacing <= 0):
         raise ValueError("spacings must be positive")
-    alpha = -np.expm1(-sigma * spacing)
-    one_minus = 1.0 - alpha
-    trans = np.empty_like(alpha)
-    trans[0] = 1.0
-    if alpha.size > 1:
-        trans[1:] = np.cumprod(one_minus[:-1])
-    w = trans * alpha
-    r_out = float(np.sum(w * signal))
-    t_k = float(trans[-1] * one_minus[-1])
-    return r_out, t_k, w
-
-
-def composite_backward(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray,
-                       d_r: float, d_t_k: float):
-    """Adjoint of `composite`: gradients of a loss w.r.t. density and signal.
-
-    Given upstream dL/dR and dL/dT_K, uses the closed forms
-        dL/dS_i     = dL/dR * w_i,
-        dL/dsigma_i = delta_i * (dL/dR * (T_{i+1} S_i - sum_{j>i} w_j S_j)
-                                  - dL/dT_K * T_K),
-    which avoid dividing by (1 - alpha). Returns (d_sigma, d_signal).
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    signal = np.asarray(signal, dtype=np.float64)
-    spacing = np.asarray(spacing, dtype=np.float64)
-    if sigma.size == 0:
-        return np.empty(0), np.empty(0)
-    alpha = -np.expm1(-sigma * spacing)
-    one_minus = 1.0 - alpha
-    trans = np.empty_like(alpha)
-    trans[0] = 1.0
-    if alpha.size > 1:
-        trans[1:] = np.cumprod(one_minus[:-1])
-    t_k = trans[-1] * one_minus[-1]
-    w = trans * alpha
-    ws = w * signal
-    tail = np.concatenate([np.cumsum(ws[::-1])[::-1][1:], [0.0]])  # sum over j > i
-    trans_after = trans * one_minus  # T_{i+1}
-    d_signal = d_r * w
-    d_sigma = spacing * (d_r * (trans_after * signal - tail) - d_t_k * t_k)
-    return d_sigma, d_signal
+    r_out, t_out, _, w = composite_segments(sigma * spacing, signal,
+                                            np.zeros(sigma.size, dtype=np.int64), 1)
+    return float(r_out[0]), float(t_out[0]), w
 
 
 def segment_prefix(values: np.ndarray, ray_of: np.ndarray, n_rays: int):
@@ -208,7 +182,8 @@ def segment_prefix(values: np.ndarray, ray_of: np.ndarray, n_rays: int):
 
 def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarray,
                        n_rays: int):
-    """`composite` of many rays at once, over contiguous per-ray segments.
+    """Front-to-back compositing of many rays at once, over contiguous per-ray
+    segments.
 
     optical is sigma * delta per sample and ray_of the owning ray
     (non-decreasing). Transmittance is exp of the segmented exclusive prefix
@@ -221,6 +196,165 @@ def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarr
     r_out = np.bincount(ray_of, weights=w * signal, minlength=n_rays)
     t_out = np.exp(-np.bincount(ray_of, weights=optical, minlength=n_rays))
     return r_out, t_out, excl, w
+
+
+def composite_segments_backward(optical: np.ndarray, signal: np.ndarray,
+                                ray_of: np.ndarray, excl: np.ndarray,
+                                weights: np.ndarray, t_out: np.ndarray,
+                                d_r: np.ndarray, d_t: np.ndarray):
+    """Adjoint of `composite_segments`, given its outputs and upstream dL/dR and
+    dL/dT_K per ray.
+
+    Uses the closed forms, per ray segment,
+        dL/dS_i   = dL/dR * w_i,
+        dL/dtau_i = dL/dR * (T_{i+1} S_i - sum_{j>i} w_j S_j) - dL/dT_K * T_K,
+    for the optical depth tau_i = sigma_i * delta_i, which avoid dividing by
+    (1 - alpha). Returns (dL/dtau, dL/dS) per sample.
+    """
+    n_rays = len(d_r)
+    ws = weights * signal
+    incl_ws = segment_prefix(ws, ray_of, n_rays)
+    total_ws = np.bincount(ray_of, weights=ws, minlength=n_rays)
+    tail = total_ws[ray_of] - incl_ws
+    t_next = np.exp(-(excl + optical))
+    d_optical = d_r[ray_of] * (t_next * signal - tail) - d_t[ray_of] * t_out[ray_of]
+    return d_optical, d_r[ray_of] * weights
+
+
+class SampleTable:
+    """Samples of a set of receiver rays at one step, with the trilinear
+    support they share in the density and feature grids.
+
+    All rays are clipped and sampled in one `sample_rays` pass; ray b owns
+    rows offsets[b]..offsets[b+1]. The table depends only on the geometry,
+    the grid dims and box, and the step, so one table serves every
+    transmitter and every parameter update until the grids are resampled.
+    enc_x holds per-sample position encodings when the table's owner caches
+    them; it is None otherwise, and `forward_segments` encodes the kept
+    samples of each call.
+    """
+
+    def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
+                 directions: np.ndarray | None = None):
+        if directions is None:
+            directions = all_directions(geometry.spectrum_res)
+        dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        self.emission_enc = positional_encode(-dirs, model.enc_dir)
+        self.positions, self.spacings, self.offsets = sample_rays(geometry, dirs, step)
+        self.counts = np.diff(self.offsets)
+        # looked up on voxel_grid at call time, where profilers hook the layer
+        self.idx, self.weights = voxel_grid.interp_support(
+            model.density_grid.dims, model.bbox, self.positions)
+        self.enc_x = None
+
+
+@dataclass
+class SegmentTrace:
+    """Intermediates of one `forward_segments` pass. kept and sigma cover
+    every sample of the pass, the other per-sample arrays the kept samples
+    only, in ray order."""
+
+    kept: np.ndarray           # skip mask over the pass's samples
+    sigma: np.ndarray          # density at every sample of the pass
+    rows_kept: np.ndarray      # table row of each kept sample
+    kept_idx: np.ndarray       # interpolation support of kept samples
+    kept_weights: np.ndarray
+    raw_kept: np.ndarray       # pre-activation density at kept samples
+    ray_of_kept: np.ndarray    # owning ray per kept sample (non-decreasing)
+    spacings_kept: np.ndarray
+    optical: np.ndarray        # sigma * delta per kept sample
+    excl_prefix: np.ndarray    # per-ray exclusive prefix of optical depth
+    weights: np.ndarray        # compositing weight T_i * alpha_i
+    signal_kept: np.ndarray
+    t_final: np.ndarray        # per ray
+    sig_cache: object          # signal_forward cache, with want_cache
+
+
+def forward_segments(model: FieldModel, table: SampleTable, enc_tx: np.ndarray,
+                     cells: np.ndarray | None, tau: float, want_cache: bool = False):
+    """Render rays of a sample table with empty-space skipping.
+
+    cells picks the table ray of each rendered ray; None renders every table
+    ray in order, reading the table's arrays in place. enc_tx is the encoded
+    transmitter position, (width,) for all rays or (n_rays, width) per ray.
+    Samples with density below tau are skipped; the signal nets run on the
+    kept samples only, and compositing runs on per-ray segments of them.
+    Returns (accumulated per ray, final transmittance per ray, trace).
+    """
+    if cells is None:
+        n_rays, counts, rows = len(table.counts), table.counts, slice(None)
+    else:
+        cells = np.asarray(cells)
+        n_rays, counts = len(cells), table.counts[cells]
+        starts = table.offsets[cells] - (np.cumsum(counts) - counts)
+        rows = np.repeat(starts, counts) + np.arange(counts.sum())
+    idx = table.idx[rows]
+    weights = table.weights[rows]
+    raw = np.einsum("nk,nk->n", model.density_grid.values[:, 0][idx], weights)
+    sigma = softplus(raw + model.density_bias)
+    kept = sigma >= tau
+    rows_kept = np.flatnonzero(kept) if cells is None else rows[kept]
+    rk = np.repeat(np.arange(n_rays), counts)[kept]
+    kept_idx, kept_weights = idx[kept], weights[kept]
+
+    sig_cache = None
+    if len(rk):
+        feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx],
+                         kept_weights)
+        enc_tx = enc_tx[rk] if enc_tx.ndim == 2 else np.broadcast_to(
+            enc_tx, (len(rk), len(enc_tx)))
+        if table.enc_x is None:
+            enc_x = positional_encode(
+                model.normalize_positions(table.positions[rows_kept]), model.enc_pos)
+        else:
+            enc_x = table.enc_x[rows_kept]
+        enc_d = table.emission_enc[rk if cells is None else cells[rk]]
+        res = signal_forward(model, feat, enc_tx, enc_x, enc_d, want_cache=want_cache)
+        signal_kept, sig_cache = res if want_cache else (res, None)
+    else:
+        signal_kept = np.empty(0)
+
+    spacings_kept = table.spacings[rows_kept]
+    optical = sigma[kept] * spacings_kept
+    r_out, t_out, excl, w = composite_segments(optical, signal_kept, rk, n_rays)
+    trace = SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
+                         kept_idx=kept_idx, kept_weights=kept_weights,
+                         raw_kept=raw[kept], ray_of_kept=rk,
+                         spacings_kept=spacings_kept, optical=optical,
+                         excl_prefix=excl, weights=w, signal_kept=signal_kept,
+                         t_final=t_out, sig_cache=sig_cache)
+    return r_out, t_out, trace
+
+
+def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
+                      d_t: np.ndarray, grads: GradientSet,
+                      sample_scale: np.ndarray | None = None) -> None:
+    """Adjoint of `forward_segments` (taken with want_cache=True): chains
+    upstream dL/dR and dL/dT_K per ray back through compositing, the nets and
+    the grids, accumulating into grads.
+
+    Without sample_scale this is the exact adjoint; with it, each kept
+    sample's dL/dsigma and dL/dS are multiplied by its entry before they
+    reach the nets and grids.
+    """
+    if not len(trace.ray_of_kept):
+        return
+    d_optical, d_signal = composite_segments_backward(
+        trace.optical, trace.signal_kept, trace.ray_of_kept, trace.excl_prefix,
+        trace.weights, trace.t_final, d_r, d_t)
+    d_sigma = trace.spacings_kept * d_optical
+    if sample_scale is not None:
+        d_sigma = d_sigma * sample_scale
+        d_signal = d_signal * sample_scale
+
+    # signal_backward and scatter_grid_gradient are looked up on their modules
+    # at call time, where profilers hook the layers
+    d_raw = d_sigma * sigmoid(trace.raw_kept + model.density_bias)
+    voxel_grid.scatter_grid_gradient(trace.kept_idx, trace.kept_weights,
+                                     d_raw[:, None], grads["density_grid"])
+    d_feat = field_model.signal_backward(model, trace.sig_cache, d_signal, grads)
+    voxel_grid.scatter_grid_gradient(trace.kept_idx, trace.kept_weights, d_feat,
+                                     grads["feature_grid"])
 
 
 @dataclass
@@ -255,42 +389,24 @@ class RayTrace:
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
               direction: np.ndarray, step: float | None = None,
               tau: float = 0.0) -> RayTrace:
-    """Render one ray keeping all intermediates (for tests and diagnostics)."""
+    """Render one ray keeping all intermediates (for tests and diagnostics):
+    `forward_segments` over a one-direction table."""
     if tau < 0:
         raise ValueError("skip threshold must be nonnegative")
     if step is None:
         step = default_step(geometry.bbox, model.density_grid.dims)
-    positions, spacings = sample_ray(geometry, direction, step)
-    if len(positions) == 0:
-        empty = np.empty(0)
-        return RayTrace(direction=np.asarray(direction, dtype=np.float64),
-                        positions=positions, spacings=spacings,
-                        kept=np.empty(0, dtype=bool), sigma=empty, signal=empty,
-                        alphas=empty, transmittance=empty, weights=empty,
-                        accumulated=0.0, final_transmittance=1.0)
-    sigma = query_density(model, positions)
-    kept = sigma >= tau
-    signal = np.zeros(len(positions))
-    if kept.any():
-        emission_dir = -np.asarray(direction, dtype=np.float64)
-        xs = positions[kept]
-        feat = interpolate(model.feature_grid, xs)
-        enc_tx = positional_encode(
-            model.normalize_positions(np.broadcast_to(tx, (len(xs), 3))), model.enc_pos)
-        enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos)
-        enc_d = positional_encode(
-            np.broadcast_to(emission_dir, (len(xs), 3)), model.enc_dir)
-        signal[kept] = signal_forward(model, feat, enc_tx, enc_x, enc_d)
-    r_out, t_k, w = composite(sigma[kept], signal[kept], spacings[kept])
-    alpha = -np.expm1(-sigma[kept] * spacings[kept])
-    trans = np.empty_like(alpha)
-    if alpha.size:
-        trans[0] = 1.0
-        trans[1:] = np.cumprod((1.0 - alpha)[:-1])
-    return RayTrace(direction=np.asarray(direction, dtype=np.float64),
-                    positions=positions, spacings=spacings, kept=kept,
-                    sigma=sigma, signal=signal, alphas=alpha, transmittance=trans,
-                    weights=w, accumulated=r_out, final_transmittance=t_k)
+    direction = np.asarray(direction, dtype=np.float64)
+    table = SampleTable(geometry, model, step, directions=direction)
+    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
+    r_out, t_out, trace = forward_segments(model, table, enc_tx, None, tau)
+    signal = np.zeros(len(table.spacings))
+    signal[trace.kept] = trace.signal_kept
+    return RayTrace(direction=direction, positions=table.positions,
+                    spacings=table.spacings, kept=trace.kept, sigma=trace.sigma,
+                    signal=signal, alphas=-np.expm1(-trace.optical),
+                    transmittance=np.exp(-trace.excl_prefix),
+                    weights=trace.weights, accumulated=float(r_out[0]),
+                    final_transmittance=float(t_out[0]))
 
 
 def render_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
@@ -310,40 +426,6 @@ class SpectrumTrace:
     n_kept: int
 
 
-def _render_directions(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-                       directions: np.ndarray, step: float, tau: float):
-    """Shared batched path: returns (R per ray, T_K per ray, totals).
-
-    All rays are sampled in one pass and share one interpolation support for
-    the density and feature lookups; the transmitter is encoded once, each
-    emission direction once per ray, and the kept samples are composited per
-    ray segment in one pass."""
-    positions, spacings, offsets = sample_rays(geometry, directions, step)
-    n_total = len(positions)
-    n_rays = len(directions)
-    if n_total == 0:
-        return np.zeros(n_rays), np.ones(n_rays), 0, 0
-    idx, w = interp_support(model.density_grid.dims, model.bbox, positions)
-    raw = np.einsum("nkc,nk->nc", model.density_grid.values[idx], w)[:, 0]
-    sigma = softplus(raw + model.density_bias)
-    kept = sigma >= tau
-    n_kept = int(kept.sum())
-    ray_of = np.repeat(np.arange(n_rays), np.diff(offsets))[kept]
-    signal = np.empty(0)
-    if n_kept:
-        feat = np.einsum("nkc,nk->nc", model.feature_grid.values[idx[kept]], w[kept])
-        enc_tx = np.broadcast_to(
-            positional_encode(model.normalize_positions(tx), model.enc_pos),
-            (n_kept, model.enc_pos.width(3)))
-        enc_x = positional_encode(model.normalize_positions(positions[kept]),
-                                  model.enc_pos)
-        enc_d = positional_encode(-directions, model.enc_dir)[ray_of]
-        signal = signal_forward(model, feat, enc_tx, enc_x, enc_d)
-    r_out, t_out, _, _ = composite_segments(sigma[kept] * spacings[kept], signal,
-                                            ray_of, n_rays)
-    return r_out, t_out, n_total, n_kept
-
-
 def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
                     step: float | None = None, tau: float = 0.0) -> np.ndarray:
     """Spatial spectrum for one transmitter position: (M, N) array with cell
@@ -355,7 +437,8 @@ def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
 def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
                            tx: np.ndarray, step: float | None = None,
                            tau: float = 0.0):
-    """render_spectrum plus per-ray transmittance and skip statistics."""
+    """render_spectrum plus per-ray transmittance and skip statistics:
+    `forward_segments` over every ray of a full-spectrum table."""
     if tau < 0:
         raise ValueError("skip threshold must be nonnegative")
     tx = np.asarray(tx, dtype=np.float64)
@@ -363,13 +446,13 @@ def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
         raise ValueError("tx must be finite")
     if step is None:
         step = default_step(geometry.bbox, model.density_grid.dims)
-    dirs = all_directions(geometry.spectrum_res)
-    r_out, t_out, n_total, n_kept = _render_directions(model, geometry, tx,
-                                                       dirs, step, tau)
+    table = SampleTable(geometry, model, step)
+    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
+    r_out, t_out, trace = forward_segments(model, table, enc_tx, None, tau)
     spectrum = r_out.reshape(geometry.spectrum_res)
-    trace = SpectrumTrace(final_transmittance=t_out, n_samples=n_total,
-                          n_kept=n_kept)
-    return spectrum, trace
+    return spectrum, SpectrumTrace(final_transmittance=t_out,
+                                   n_samples=len(table.spacings),
+                                   n_kept=len(trace.ray_of_kept))
 
 
 def aggregate_rssi(spectrum: np.ndarray, calibration_db: float = 0.0) -> float:

@@ -1,10 +1,12 @@
 """Training loop: Adam, exponential LR decay, progressive grids, calibration.
 
-Ray geometry is fixed per resolution stage (receiver, box, direction set, and
-step size do not change between upsample events), so sample positions,
-interpolation supports, and positional encodings are precomputed per direction
-and gathered per batch. Compositing and its adjoint run on per-ray segments of
-the batched grid/MLP math, matching the single-ray renderer to rounding.
+Batches are rendered and differentiated by the renderer's ray engine. Ray
+geometry is fixed per resolution stage (receiver, box, direction set, and
+step size do not change between upsample events), so each stage builds one
+sample table over every spectrum direction, which also caches every sample's
+position encoding; each iteration renders its (transmitter, direction-cell)
+rays from that table with `forward_segments` and backpropagates with
+`backward_segments`.
 """
 
 from __future__ import annotations
@@ -15,27 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset
-from .field_model import (
-    FieldModel,
-    GradientSet,
-    init_field_model,
-    positional_encode,
-    sigmoid,
-    signal_backward,
-    signal_forward,
-    softplus,
-)
+from .field_model import FieldModel, GradientSet, init_field_model, positional_encode
 from .objectives import LossReport, background_entropy, spectrum_mse, total_loss
 from .renderer import (
+    SampleTable,
     SceneGeometry,
-    all_directions,
-    composite_segments,
+    backward_segments,
     default_step,
+    forward_segments,
     render_spectrum,
-    sample_rays,
-    segment_prefix,
 )
-from .voxel_grid import interp_support, scatter_grid_gradient, upsample
+from .voxel_grid import upsample
 
 GRID_PARAM_NAMES = ("density_grid", "feature_grid")
 
@@ -193,127 +185,31 @@ def near_receiver_radius(geometry: SceneGeometry, final_dims) -> float:
     return edge * math.sqrt(geometry.n_directions / (2.0 * math.pi))
 
 
-class _StageCache:
-    """Per-direction ray geometry, interpolation supports, and encodings,
+class _StageCache(SampleTable):
+    """The sample table of a resolution stage, over every spectrum direction;
     valid while the grid resolution (hence step size) is unchanged.
 
-    With grad_radius r0 given, grad_scale holds each cached sample's training
-    gradient scale min(1, (r / r0)^2), r its distance from the receiver;
-    without it grad_scale is None.
+    Every iteration gathers its batch from this table, so it also caches
+    every sample's position encoding. With grad_radius r0 given, grad_scale
+    holds each sample's training gradient scale min(1, (r / r0)^2), r its
+    distance from the receiver; without it grad_scale is None.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
                  grad_radius: float | None = None):
-        self.step = step
-        dirs = all_directions(geometry.spectrum_res)
-        self.n_dirs = len(dirs)
-        self.emission_enc = positional_encode(-dirs, model.enc_dir)
-        positions, spacings, offsets = sample_rays(geometry, dirs, step)
-        self.offsets = offsets
-        self.counts = np.diff(offsets)
-        self.spacings = spacings
-        self.idx, self.weights = interp_support(model.density_grid.dims,
-                                                geometry.bbox, positions)
-        self.enc_x = positional_encode(model.normalize_positions(positions),
+        super().__init__(geometry, model, step)
+        self.enc_x = positional_encode(model.normalize_positions(self.positions),
                                        model.enc_pos)
         self.grad_scale = None
         if grad_radius is not None:
-            r = np.linalg.norm(positions - geometry.rx_position, axis=1)
+            r = np.linalg.norm(self.positions - geometry.rx_position, axis=1)
             self.grad_scale = np.minimum(1.0, (r / grad_radius) ** 2)
 
 
-@dataclass
-class _BatchTrace:
-    rows_kept: np.ndarray      # stage-cache row of each kept sample
-    kept_idx: np.ndarray       # interpolation support of kept samples
-    kept_weights: np.ndarray
-    raw_kept: np.ndarray       # pre-activation density at kept samples
-    ray_of_kept: np.ndarray    # owning ray per kept sample (non-decreasing)
-    optical: np.ndarray        # sigma * delta per kept sample
-    excl_prefix: np.ndarray    # per-ray exclusive prefix of optical depth
-    signal_kept: np.ndarray
-    spacings_kept: np.ndarray
-    t_final: np.ndarray        # per ray
-    sig_cache: object
-
-
-def _forward_batch(model: FieldModel, cache: _StageCache, enc_tx_by_ray: np.ndarray,
-                   cells: np.ndarray, tau: float, want_cache: bool = False):
-    """Render a batch of (tx, direction-cell) rays through the cached geometry.
-
-    Compositing runs on per-ray segments of the kept samples: transmittance is
-    exp of the segmented exclusive prefix of optical depth, identical to the
-    sequential front-to-back pass. Returns (accumulated per ray, final
-    transmittance per ray, trace)."""
-    n_rays = len(cells)
-    counts = cache.counts[cells]
-    rows = np.concatenate([np.arange(cache.offsets[c], cache.offsets[c + 1])
-                           for c in cells]) if counts.sum() else np.empty(0, np.int64)
-    idx = cache.idx[rows]
-    weights = cache.weights[rows]
-    raw = np.einsum("nk,nk->n", model.density_grid.values[:, 0][idx], weights)
-    sigma = softplus(raw + model.density_bias)
-    kept = sigma >= tau
-    ray_of = np.repeat(np.arange(n_rays), counts)
-
-    rk = ray_of[kept]
-    spc = cache.spacings[rows[kept]]
-    sig_cache = None
-    if kept.any():
-        feat = np.einsum("nkf,nk->nf", model.feature_grid.values[idx[kept]],
-                         weights[kept])
-        enc_tx = enc_tx_by_ray[rk]
-        enc_x = cache.enc_x[rows[kept]]
-        enc_d = cache.emission_enc[np.asarray(cells)[rk]]
-        res = signal_forward(model, feat, enc_tx, enc_x, enc_d, want_cache=want_cache)
-        signal_kept, sig_cache = res if want_cache else (res, None)
-    else:
-        signal_kept = np.empty(0)
-
-    optical = sigma[kept] * spc
-    r_hat, t_final, excl, _ = composite_segments(optical, signal_kept, rk, n_rays)
-    trace = _BatchTrace(rows_kept=rows[kept], kept_idx=idx[kept],
-                        kept_weights=weights[kept], raw_kept=raw[kept],
-                        ray_of_kept=rk, optical=optical,
-                        excl_prefix=excl, signal_kept=signal_kept,
-                        spacings_kept=spc, t_final=t_final, sig_cache=sig_cache)
-    return r_hat, t_final, trace
-
-
-def _backward_batch(model: FieldModel, trace: _BatchTrace, d_r: np.ndarray,
-                    d_t: np.ndarray, grads: GradientSet,
-                    sample_scale: np.ndarray | None = None) -> None:
-    """Chain loss gradients back through compositing, nets, and grids.
-
-    Uses the division-free adjoint dL/dsigma_i = delta_i * (dL/dR *
-    (T_{i+1} S_i - sum_{j>i} w_j S_j) - dL/dT_K * T_K) per ray segment.
-    Without sample_scale this is the exact adjoint of _forward_batch; with it,
-    each kept sample's dL/dsigma and dL/dS are multiplied by its entry before
-    they reach the nets and grids."""
-    if not len(trace.ray_of_kept):
-        return
-    n_rays = len(d_r)
-    rk = trace.ray_of_kept
-    alpha = -np.expm1(-trace.optical)
-    w = np.exp(-trace.excl_prefix) * alpha
-    ws = w * trace.signal_kept
-    incl_ws = segment_prefix(ws, rk, n_rays)
-    total_ws = np.bincount(rk, weights=ws, minlength=n_rays)
-    tail = total_ws[rk] - incl_ws
-    t_next = np.exp(-(trace.excl_prefix + trace.optical))
-    d_sigma = trace.spacings_kept * (
-        d_r[rk] * (t_next * trace.signal_kept - tail) - d_t[rk] * trace.t_final[rk])
-    d_signal = d_r[rk] * w
-    if sample_scale is not None:
-        d_sigma = d_sigma * sample_scale
-        d_signal = d_signal * sample_scale
-
-    d_raw = d_sigma * sigmoid(trace.raw_kept + model.density_bias)
-    scatter_grid_gradient(trace.kept_idx, trace.kept_weights, d_raw[:, None],
-                          grads["density_grid"])
-    d_feat = signal_backward(model, trace.sig_cache, d_signal, grads)
-    scatter_grid_gradient(trace.kept_idx, trace.kept_weights, d_feat,
-                          grads["feature_grid"])
+# The batch forward and adjoint are the ray engine's; train() calls them by
+# these names.
+_forward_batch = forward_segments
+_backward_batch = backward_segments
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,30 @@ class TestTrainInferEval:
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")
         code = run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
                        "--out", tmp_path / "o.vxrf")
+        assert code == 4
+
+    def test_checkpoint_without_grid_dims_exit_code(self, pipeline, tmp_path):
+        _, _, ckpt, _ = pipeline
+        blob = ckpt.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        meta = json.loads(blob[12:12 + meta_len])
+        del meta["grid_dims"]
+        meta_bytes = json.dumps(meta).encode()
+        bad = tmp_path / "no_dims.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                        + blob[12 + meta_len:])
+        code = run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
+                       "--out", tmp_path / "o.vxrf")
+        assert code == 4
+
+    def test_manifest_without_rx_position_exit_code(self, tmp_path):
+        data = synth_small(tmp_path, n_tx=2)
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["scene"]["rx_position"]
+        manifest.write_text(json.dumps(doc))
+        code = run_cli("train", "--data", data, "--out", tmp_path / "m.ckpt",
+                       *TINY_TRAIN)
         assert code == 4
 
     def test_missing_data_dir_exit_code(self, tmp_path):

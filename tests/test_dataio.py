@@ -1,6 +1,7 @@
 """Formats, synthetic oracle, dataset generation, checkpoints."""
 
 import hashlib
+import json
 import struct
 from pathlib import Path
 
@@ -223,6 +224,30 @@ class TestGenerateDataset:
         (tmp_path / "d" / "spectra" / "tx_00001.vxrf").unlink()
         with pytest.raises(FormatError, match="missing spectrum"):
             load_dataset(tmp_path / "d")
+
+
+    def test_non_finite_tx_position_rejected(self, tmp_path):
+        generate_dataset(demo_scene(), demo_geometry(res=(6, 3)), n_tx=2, seed=1,
+                         out_dir=tmp_path / "d", fine_step=0.03)
+        manifest = tmp_path / "d" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["records"][1]["tx_position"][2] = float("nan")
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="record 1 tx_position"):
+            load_dataset(tmp_path / "d")
+
+    def test_missing_or_malformed_fields_rejected(self, tmp_path):
+        generate_dataset(demo_scene(), demo_geometry(res=(6, 3)), n_tx=2, seed=1,
+                         out_dir=tmp_path / "d", fine_step=0.03)
+        manifest = tmp_path / "d" / "manifest.json"
+        good = json.loads(manifest.read_text())
+        for edit in (lambda doc: doc["scene"].pop("spectrum_res"),
+                     lambda doc: doc.update(records=None)):
+            doc = json.loads(json.dumps(good))
+            edit(doc)
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(FormatError, match="missing or malformed"):
+                load_dataset(tmp_path / "d")
 
 
 class TestCheckpoint:

@@ -9,10 +9,16 @@ from radiofield.field_model import (
     Mlp,
     PositionalEncodingConfig,
     init_field_model,
-    model_backward,
     positional_encode,
     query_density,
     query_signal,
+)
+from radiofield.renderer import (
+    SampleTable,
+    SceneGeometry,
+    backward_segments,
+    default_step,
+    forward_segments,
 )
 from radiofield.voxel_grid import Aabb
 
@@ -23,6 +29,26 @@ def unit_box():
 
 def tiny_model(seed=11, feature_dim=2, width=8, dims=(4, 4, 4)):
     return init_field_model(unit_box(), dims, feature_dim, width, seed=seed)
+
+
+def ray_gradient(model, tx, cells, d_r, d_t):
+    """Parameter gradients of L = d_r . R + d_t . T_K over rays `cells` of a
+    small spectrum, from the ray engine's adjoint, plus loss() for differencing
+    and the forward trace."""
+    geo = SceneGeometry(rx_position=np.array([0.45, 0.55, 0.2]), bbox=unit_box(),
+                        spectrum_res=(4, 2))
+    table = SampleTable(geo, model, default_step(geo.bbox, model.density_grid.dims))
+    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
+
+    def loss():
+        r, t_k, _ = forward_segments(model, table, enc_tx, cells, tau=0.0)
+        return float(d_r @ r + d_t @ t_k)
+
+    _, _, trace = forward_segments(model, table, enc_tx, cells, tau=0.0,
+                                   want_cache=True)
+    grads = GradientSet.zeros_like(model)
+    backward_segments(model, trace, d_r, d_t, grads)
+    return grads, loss, trace
 
 
 class TestPositionalEncoding:
@@ -102,21 +128,19 @@ class TestQuerySignal:
         assert np.all(s > 0) and np.all(s < 1)
 
     def test_radiance_weight_gradient_matches_fd(self):
-        # Oracle: central finite difference on one radiance weight, h = 1e-4.
+        # Oracle: central finite difference on one radiance weight, h = 1e-4,
+        # of one ray's accumulated signal.
         m = tiny_model(seed=5)
-        x = np.full(3, 0.4)
-        tx = np.array([0.9, 0.1, 0.5])
-        d = np.array([0.0, 0.6, 0.8])
-        grads = GradientSet.zeros_like(m)
-        model_backward(m, x, tx, d, d_sigma=0.0, d_signal=1.0, grads=grads)
+        grads, loss, _ = ray_gradient(m, np.array([0.9, 0.1, 0.5]), np.array([5]),
+                                      np.ones(1), np.zeros(1))
         h = 1e-4
         w = m.radiance_net.weights[0]
         for (i, j) in [(0, 0), (3, 5), (7, 1)]:
             orig = w[i, j]
             w[i, j] = orig + h
-            hi = query_signal(m, x, tx, d)
+            hi = loss()
             w[i, j] = orig - h
-            lo = query_signal(m, x, tx, d)
+            lo = loss()
             w[i, j] = orig
             fd = (hi - lo) / (2 * h)
             got = grads["radiance.w0"][i, j]
@@ -147,37 +171,27 @@ class TestQuerySignal:
 
 
 class TestModelBackward:
+    """Parameter gradients through the ray engine's adjoint."""
+
     def test_zero_upstream_zero_contribution(self):
         m = tiny_model()
-        grads = GradientSet.zeros_like(m)
-        model_backward(m, np.full(3, 0.5), np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                       d_sigma=0.0, d_signal=0.0, grads=grads)
+        grads, _, _ = ray_gradient(m, np.zeros(3), np.array([0, 3, 6]), np.zeros(3),
+                                   np.zeros(3))
         for name, g in grads.buffers.items():
             assert np.all(g == 0), name
 
     def test_all_parameter_gradients_match_fd(self):
-        # Oracle: central finite differences of L = sum(sigma_i + S_i) over a
-        # small batch, for every parameter tensor of a tiny model.
+        # Oracle: central finite differences of L = sum_b (a_b R_b + c_b T_K,b)
+        # over three rays, for every parameter tensor of a tiny model.
         rng = np.random.default_rng(30)
         m = tiny_model(seed=31)
         m.feature_grid.values[:] = 0.1 * rng.normal(size=m.feature_grid.values.shape)
         m.density_grid.values[:] = 0.1 * rng.normal(size=m.density_grid.values.shape)
-        xs = rng.uniform(0.05, 0.95, size=(6, 3))
-        tx = np.array([0.7, 0.3, 0.6])
-        dirs = rng.normal(size=(6, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-        def loss():
-            return float(np.sum(query_density(m, xs)) +
-                         np.sum(query_signal(m, xs, tx, dirs)))
-
-        grads = GradientSet.zeros_like(m)
-        model_backward(m, xs, tx, dirs, d_sigma=np.ones(6), d_signal=np.ones(6),
-                       grads=grads)
-
+        grads, loss, _ = ray_gradient(m, np.array([0.7, 0.3, 0.6]), np.array([1, 4, 6]),
+                                      np.array([1.0, -0.5, 0.8]),
+                                      np.array([0.3, 0.6, -0.2]))
         h = 1e-4
-        params = m.parameters()
-        for name, p in params.items():
+        for name, p in m.parameters().items():
             flat = p.reshape(-1)
             # probe a deterministic subset of entries of each tensor
             probe = range(0, flat.size, max(1, flat.size // 17))
@@ -193,16 +207,13 @@ class TestModelBackward:
                 assert abs(got - fd) <= 1e-4 * abs(fd) + 1e-6, (name, k, got, fd)
 
     def test_feature_gradient_limited_to_support(self):
-        m = tiny_model(dims=(4, 4, 4))
-        grads = GradientSet.zeros_like(m)
-        x = np.array([0.1, 0.1, 0.1])  # inside the first cell
-        model_backward(m, x, np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                       d_sigma=0.0, d_signal=1.0, grads=grads)
-        from radiofield.voxel_grid import interp_support
-        idx, _ = interp_support(m.feature_grid.dims, m.feature_grid.bbox, x)
-        outside = np.setdiff1d(np.arange(m.feature_grid.n_nodes), idx.ravel())
-        assert np.all(grads["feature_grid"][outside] == 0)
-        assert np.any(grads["feature_grid"][idx.ravel()] != 0)
+        m = tiny_model(dims=(6, 6, 6))
+        grads, _, trace = ray_gradient(m, np.zeros(3), np.array([2]), np.ones(1),
+                                       np.zeros(1))
+        support = np.unique(trace.kept_idx)
+        outside = np.setdiff1d(np.arange(m.feature_grid.n_nodes), support)
+        assert len(outside) and np.all(grads["feature_grid"][outside] == 0)
+        assert np.any(grads["feature_grid"][support] != 0)
 
 
 class TestDeterminismAndValidation:

@@ -1,4 +1,5 @@
-"""Rays and compositing: geometry closed forms, conservation, adjoint checks."""
+"""Rays and compositing: geometry closed forms, conservation, the ray engine
+against a per-ray reference, the compositing adjoint against finite differences."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from radiofield.renderer import (
     all_directions,
     clip_ray,
     composite,
-    composite_backward,
+    composite_segments,
+    composite_segments_backward,
     default_step,
     direction_from_angles,
     render_ray,
@@ -22,6 +24,7 @@ from radiofield.renderer import (
     trace_ray,
 )
 from radiofield.voxel_grid import Aabb
+from ray_reference import reference_ray
 
 
 def centered_box(half=1.0):
@@ -203,19 +206,24 @@ class TestComposite:
 
 class TestCompositeBackward:
     def test_matches_finite_differences(self):
-        # Oracle: central differences of a*R + b*T_K through composite.
+        # Oracle: central differences of sum_b (a_b R_b + c_b T_K,b) through
+        # composite_segments, over rays of 5, 0 and 7 samples.
         rng = np.random.default_rng(7)
         k = 12
         sigma = rng.uniform(0.01, 3, k)
         sig = rng.uniform(0.05, 0.95, k)
         spc = rng.uniform(0.02, 0.3, k)
-        a, b = 0.7, -1.3
+        ray_of = np.repeat(np.arange(3), [5, 0, 7])
+        a, c = np.array([0.7, 0.2, -0.4]), np.array([-1.3, 0.5, 0.9])
 
         def loss(sg, sl):
-            r, t_k, _ = composite(sg, sl, spc)
-            return a * r + b * t_k
+            r, t_k, _, _ = composite_segments(sg * spc, sl, ray_of, 3)
+            return a @ r + c @ t_k
 
-        d_sigma, d_signal = composite_backward(sigma, sig, spc, d_r=a, d_t_k=b)
+        _, t_k, excl, w = composite_segments(sigma * spc, sig, ray_of, 3)
+        d_optical, d_signal = composite_segments_backward(sigma * spc, sig, ray_of,
+                                                          excl, w, t_k, a, c)
+        d_sigma = spc * d_optical
         h = 1e-6
         for i in range(k):
             for arr, grad in ((sigma, d_sigma), (sig, d_signal)):
@@ -229,9 +237,11 @@ class TestCompositeBackward:
                 assert abs(grad[i] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
     def test_empty_ray(self):
-        d_sigma, d_signal = composite_backward(np.empty(0), np.empty(0), np.empty(0),
-                                               1.0, 1.0)
-        assert len(d_sigma) == 0 and len(d_signal) == 0
+        empty = np.empty(0)
+        d_optical, d_signal = composite_segments_backward(
+            empty, empty, np.empty(0, dtype=np.int64), empty, empty, np.ones(1),
+            np.ones(1), np.ones(1))
+        assert len(d_optical) == 0 and len(d_signal) == 0
 
 
 class TestRenderRay:
@@ -305,10 +315,11 @@ class TestRenderSpectrum:
         geo = demo_geometry(res=(4, 2))
         tx = np.array([0.2, 0.2, 0.2])
         spec = render_spectrum(m, geo, tx, tau=0.01)
+        step = default_step(geo.bbox, m.density_grid.dims)
         for m_i in range(4):
             for n_i in range(2):
                 d = direction_from_angles(m_i, n_i, geo.spectrum_res)
-                r, _ = render_ray(m, geo, tx, d, tau=0.01)
+                r, _ = reference_ray(m, geo, tx, d, step, tau=0.01)
                 assert spec[m_i, n_i] == pytest.approx(r, rel=1e-12, abs=1e-15)
 
     def test_transmitter_outside_box_allowed(self):

@@ -12,7 +12,6 @@ from radiofield.renderer import (
     all_directions,
     direction_from_angles,
     sample_rays,
-    trace_ray,
 )
 from radiofield.trainer import (
     AdamState,
@@ -29,6 +28,7 @@ from radiofield.trainer import (
     train,
 )
 from radiofield.voxel_grid import Aabb
+from ray_reference import reference_ray
 
 
 def small_dataset(tmp_path, n_tx=16, res=(12, 4), seed=3, tx_modulation=0.4,
@@ -153,7 +153,6 @@ class TestTrainLoop:
 
     def test_batched_forward_matches_single_ray_renderer(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=4, res=(8, 4))
-        cfg = smoke_config()
         result = train(ds, smoke_config(total_iters=30, log_interval=5))
         model = result.model
         cache = _StageCache(ds.geometry, model, step=0.04)
@@ -164,9 +163,9 @@ class TestTrainLoop:
         for i, c in enumerate(cells):
             m_i, n_i = divmod(int(c), ds.geometry.spectrum_res[1])
             d = direction_from_angles(m_i, n_i, ds.geometry.spectrum_res)
-            t = trace_ray(model, ds.geometry, txs[i], d, step=0.04, tau=1e-4)
-            assert r_hat[i] == pytest.approx(t.accumulated, rel=1e-10, abs=1e-14)
-            assert t_k[i] == pytest.approx(t.final_transmittance, rel=1e-10)
+            r_ref, t_ref = reference_ray(model, ds.geometry, txs[i], d, 0.04, 1e-4)
+            assert r_hat[i] == pytest.approx(r_ref, rel=1e-10, abs=1e-14)
+            assert t_k[i] == pytest.approx(t_ref, rel=1e-10)
 
     def test_smoke_convergence_two_blobs(self, tmp_path):
         # 200 iterations on a small scene must at least halve the spectrum loss.
@@ -255,6 +254,36 @@ class TestEndToEndGradient:
             got = grads[diff.name].reshape(-1)[diff.index]
             assert abs(got - diff.fd) <= 1e-4 * abs(diff.fd) + 1e-6, \
                 (diff.name, diff.index, got, diff.fd)
+
+    def test_pipeline_gradient_matches_fd_relative_tolerance_binds(self, tmp_path):
+        # Every parameter entry, with gradients large enough that the 1e-4
+        # relative term of the tolerance exceeds the 1e-6 floor on most
+        # entries: targets far above the rendered signal, no density offset,
+        # and strong features.
+        ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))
+        rng = np.random.default_rng(7)
+        model = init_field_model(ds.geometry.bbox, (4, 4, 4), 2, 8, seed=8,
+                                 density_bias=0.0)
+        model.density_grid.values[:] = rng.normal(scale=0.5,
+                                                  size=model.density_grid.values.shape)
+        model.feature_grid.values[:] = rng.normal(scale=2.0,
+                                                  size=model.feature_grid.values.shape)
+        cache = _StageCache(ds.geometry, model, step=0.25)
+        cells = rng.integers(0, 18, 32)
+        recs = rng.integers(0, 4, 32)
+        targets = np.full(32, 50.0)
+
+        grads, evaluate = pipeline_gradient(model, cache, ds.tx_positions()[recs],
+                                            cells, targets, 0.05)
+        n_checked = n_binding = 0
+        for diff in kink_aware_differences(model, evaluate, 1e-4):
+            assert not diff.kinked, (diff.name, diff.index, diff.step)
+            got = grads[diff.name].reshape(-1)[diff.index]
+            assert abs(got - diff.fd) <= 1e-4 * abs(diff.fd) + 1e-6, \
+                (diff.name, diff.index, got, diff.fd)
+            n_checked += 1
+            n_binding += 1e-4 * abs(diff.fd) > 1e-6
+        assert n_binding > 0.75 * n_checked, (n_binding, n_checked)
 
 
 class TestNearReceiverGradientScale:
