@@ -282,12 +282,16 @@ def cmd_train(cfg: dict) -> int:
 
 def _geometry_from_checkpoint(meta: dict) -> SceneGeometry:
     extra = meta.get("extra", {})
-    if "rx_position" not in extra or "spectrum_res" not in extra:
+    if not isinstance(extra, dict) or not {"rx_position", "spectrum_res"} <= extra.keys():
         raise FormatError("checkpoint lacks scene geometry metadata")
-    return SceneGeometry(rx_position=np.array(extra["rx_position"]),
-                         bbox=Aabb(np.array(meta["bbox_min"]),
-                                   np.array(meta["bbox_max"])),
-                         spectrum_res=tuple(extra["spectrum_res"]))
+    try:
+        return SceneGeometry(rx_position=np.array(extra["rx_position"], dtype=np.float64),
+                             bbox=Aabb(np.array(meta["bbox_min"]),
+                                       np.array(meta["bbox_max"])),
+                             spectrum_res=tuple(extra["spectrum_res"]))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"checkpoint has malformed scene geometry metadata "
+                          f"({type(e).__name__}: {e})") from e
 
 
 def cmd_infer(cfg: dict) -> int:

@@ -9,6 +9,7 @@ falsify the production compositing path and supply ground-truth datasets.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -266,18 +267,18 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     manifest = path / MANIFEST_NAME if path.is_dir() else path
     base = manifest.parent
+    with open(manifest, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(manifest) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{manifest}: not valid JSON: {e}") from e
-    if doc.get("format") != "radiofield-dataset":
+    if not isinstance(doc, dict) or doc.get("format") != "radiofield-dataset":
         raise FormatError(f"{manifest}: not a dataset manifest")
     try:
         scene = doc["scene"]
         normalization = float(scene["normalization"])
-        if normalization <= 0:
-            raise FormatError(f"{manifest}: normalization must be positive")
+        units = scene.get("units", "linear")
         geometry = SceneGeometry(
             rx_position=np.array(scene["rx_position"], dtype=np.float64),
             bbox=Aabb(np.array(scene["bbox"]["min_corner"], dtype=np.float64),
@@ -291,16 +292,27 @@ def load_dataset(path) -> Dataset:
                 spectrum_path=rec["spectrum_path"],
                 rssi_dbm=rec.get("rssi_dbm"),
             ))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{manifest}: missing or malformed field "
                           f"({type(e).__name__}: {e})") from e
+    if not (math.isfinite(normalization) and normalization > 0):
+        raise FormatError(f"{manifest}: normalization must be positive and finite")
+    if not isinstance(units, str):
+        raise FormatError(f"{manifest}: units must be a string")
     for i, rec in enumerate(records):
         if rec.tx_position.shape != (3,) or not np.all(np.isfinite(rec.tx_position)):
             raise FormatError(f"{manifest}: record {i} tx_position must be three "
                               f"finite numbers, got {rec.tx_position.tolist()}")
+        if not isinstance(rec.spectrum_path, str) or "\0" in rec.spectrum_path:
+            raise FormatError(f"{manifest}: record {i} spectrum_path must be a "
+                              f"file name")
+        if rec.rssi_dbm is not None and not (
+                type(rec.rssi_dbm) in (int, float) and math.isfinite(rec.rssi_dbm)):
+            raise FormatError(f"{manifest}: record {i} rssi_dbm must be a finite "
+                              f"number, got {rec.rssi_dbm!r}")
     for rec in records:
         spath = base / rec.spectrum_path
-        if not spath.exists():
+        if not spath.is_file():
             raise FormatError(f"{manifest}: missing spectrum file {rec.spectrum_path}")
         with open(spath, "rb") as fh:
             head = fh.read(16)
@@ -311,7 +323,7 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"{spath}: resolution {m}x{n} differs from manifest "
                               f"{geometry.spectrum_res}")
     return Dataset(geometry=geometry, normalization=normalization,
-                   units=scene.get("units", "linear"), records=records, base_dir=base)
+                   units=units, records=records, base_dir=base)
 
 
 def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
@@ -421,6 +433,8 @@ def load_checkpoint(path):
         meta = json.loads(blob[off:off + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: corrupt metadata block: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata block is not a JSON object")
     off += meta_len
 
     def take(fmt, size):
@@ -437,17 +451,25 @@ def load_checkpoint(path):
         (name_len,) = take("<I", 4)
         if off + name_len > len(blob):
             raise FormatError(f"{path}: truncated tensor name at byte offset {off}")
-        name = blob[off:off + name_len].decode("utf-8")
+        try:
+            name = blob[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: tensor name is not UTF-8 at byte offset "
+                              f"{off}") from e
         off += name_len
         (rank,) = take("<I", 4)
         shape = take(f"<{rank}I", 4 * rank)
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        n_items = math.prod(shape)  # Python integers: a huge shape cannot wrap
         nbytes = 4 * n_items
         if off + nbytes > len(blob):
             raise FormatError(f"{path}: truncated payload of {name!r} "
                               f"at byte offset {off}")
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=n_items,
-                                      offset=off).reshape(shape).astype(np.float64)
+        try:
+            tensors[name] = np.frombuffer(blob, dtype="<f4", count=n_items,
+                                          offset=off).reshape(shape).astype(np.float64)
+        except ValueError as e:  # e.g. a zero-size shape too large for numpy
+            raise FormatError(f"{path}: tensor {name!r} has unusable shape {shape} "
+                              f"at byte offset {off}") from e
         off += nbytes
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes at byte offset {off}")
@@ -455,10 +477,16 @@ def load_checkpoint(path):
     try:
         dims = tuple(meta["grid_dims"])
         feature_dim = int(meta["feature_dim"])
-        bbox = Aabb(np.array(meta["bbox_min"]), np.array(meta["bbox_max"]))
-    except (KeyError, TypeError) as e:
+        bbox = Aabb(np.array(meta["bbox_min"], dtype=np.float64),
+                    np.array(meta["bbox_max"], dtype=np.float64))
+        density_bias = float(meta["density_bias"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}: missing or malformed metadata "
                           f"({type(e).__name__}: {e})") from e
+    if len(dims) != 3 or not all(type(d) is int for d in dims):
+        raise FormatError(f"{path}: grid_dims must be three integers, got {list(dims)}")
+    if not (np.all(np.isfinite(bbox.extent)) and math.isfinite(density_bias)):
+        raise FormatError(f"{path}: non-finite bounding box or density bias")
     n_nodes = dims[0] * dims[1] * dims[2]
     for name, want in (("density_grid", (n_nodes, 1)),
                        ("feature_grid", (n_nodes, feature_dim))):
@@ -492,12 +520,14 @@ def load_checkpoint(path):
                                    meta["radiance_output_activation"]),
             enc_pos=PositionalEncodingConfig(int(meta["enc_pos_levels"])),
             enc_dir=PositionalEncodingConfig(int(meta["enc_dir_levels"])),
-            density_bias=float(meta["density_bias"]),
+            density_bias=density_bias,
             deform_enabled=bool(meta["deform_enabled"]),
         )
-    except (KeyError, TypeError) as e:
+    except FormatError:
+        raise
+    except (KeyError, TypeError, OverflowError) as e:
         raise FormatError(f"{path}: missing or malformed metadata "
                           f"({type(e).__name__}: {e})") from e
     except ValueError as e:
-        raise FormatError(f"{path}: inconsistent tensor shapes: {e}") from e
+        raise FormatError(f"{path}: inconsistent tensors or metadata: {e}") from e
     return model, meta

@@ -75,7 +75,7 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
 
 def _activate_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
     if name == "identity":
         return np.ones_like(z)
     if name == "sigmoid":
@@ -143,11 +143,12 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, want_cache: bool = False):
     return (a, cache) if want_cache else a
 
 
-def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray):
+def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray, input_grad: bool = True):
     """Backprop through a cached forward pass.
 
     Returns (weight_grads, bias_grads, d_input); gradients are fresh arrays in
-    layer order.
+    layer order. With input_grad=False the input gradient of the first layer
+    is not computed and d_input is None.
     """
     grad_w = [None] * len(mlp.weights)
     grad_b = [None] * len(mlp.biases)
@@ -157,7 +158,7 @@ def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray):
         delta = delta * _activate_grad(act, z, out)
         grad_w[i] = delta.T @ a
         grad_b[i] = delta.sum(axis=0)
-        delta = delta @ mlp.weights[i]
+        delta = delta @ mlp.weights[i] if i or input_grad else None
     return grad_w, grad_b, delta
 
 
@@ -233,6 +234,12 @@ class GradientSet:
     @classmethod
     def zeros_like(cls, model: FieldModel) -> "GradientSet":
         return cls({name: np.zeros_like(p) for name, p in model.parameters().items()})
+
+    def zero(self) -> None:
+        """Reset every buffer to zero in place, for reuse while the parameter
+        shapes are unchanged."""
+        for g in self.buffers.values():
+            g.fill(0.0)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.buffers[name]
@@ -326,7 +333,8 @@ def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: Gradi
     f = model.feature_dim
     d_feat = d_rad_in[:, :f]
     if model.deform_enabled:
-        gw, gb, _ = mlp_backward(model.deform_net, de_cache, d_feat)
+        gw, gb, _ = mlp_backward(model.deform_net, de_cache, d_feat,
+                                 input_grad=False)
         for i in range(len(gw)):
             grads[f"deform.w{i}"] += gw[i]
             grads[f"deform.b{i}"] += gb[i]

@@ -117,25 +117,67 @@ class AdamState:
                    v={k: np.zeros_like(p) for k, p in params.items()})
 
 
+# Elements per Adam block: six block-sized arrays (parameter, gradient, two
+# moments, two scratch buffers) of float64 stay within a typical L2 cache.
+_ADAM_BLOCK = 1 << 14
+
+
+def _blocks(shape) -> list:
+    """Leading-axis slices covering about _ADAM_BLOCK elements each, so each
+    block of an array is a view of it whatever its strides."""
+    if not shape:
+        return [...]
+    rows = max(1, _ADAM_BLOCK // max(1, math.prod(shape[1:])))
+    return [slice(i, i + rows) for i in range(0, max(1, shape[0]), rows)]
+
+
 def adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+    """One bias-corrected Adam update, in place on the parameter arrays.
+
+    grads maps every parameter name to an array of its shape (a dict or a
+    GradientSet). Each tensor is walked in cache-sized blocks along its
+    leading axis, through two block-sized scratch buffers, with the per-element
+    arithmetic of the dense update m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so the
+    result is bit-identical to it without any tensor-sized temporary. A
+    tensor's gradient is checked finite in full before that tensor is touched;
+    tensors earlier in params order have then already been updated.
+    """
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{p.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
+        blocks = _blocks(p.shape)
+        if not all(np.isfinite(g[s]).all() for s in blocks):
             raise NumericalError(f"non-finite gradient in tensor {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        scratch_a = np.empty_like(p[blocks[0]])
+        scratch_b = np.empty_like(scratch_a)
+        for s in blocks:
+            pb, gb, mb, vb = p[s], g[s], m[s], v[s]
+            a, b = scratch_a, scratch_b
+            if pb.shape != a.shape:  # the last, partial block
+                a, b = a[:len(pb)], b[:len(pb)]
+            mb *= b1
+            np.multiply(1.0 - b1, gb, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, gb, out=a)
+            np.multiply(1.0 - b2, a, out=a)
+            vb += a
+            np.divide(mb, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            pb -= a
     return state
 
 
@@ -244,7 +286,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     with separate exponentially decayed rates for grids and MLPs. At each
     configured iteration both grids are trilinearly upsampled to the next
     progressive resolution and the grid Adam moments restart (their shapes
-    changed); MLP moments persist.
+    changed); MLP moments persist. Gradients accumulate into one GradientSet
+    per stage, zeroed in place before every backward pass.
 
     Every ray starts at the receiver, so the nodes next to it are crossed by
     all directions and can fit direction-dependent attenuation as sub-voxel
@@ -283,6 +326,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
                                    model.enc_pos)
     grad_radius = near_receiver_radius(geometry, config.final_dims)
     cache = _StageCache(geometry, model, _config_step(config, geometry), grad_radius)
+    grads = GradientSet.zeros_like(model)
     upsample_at = {it: s + 1 for s, it in enumerate(config.upsample_iters)}
 
     rng = np.random.default_rng(config.seed)
@@ -298,6 +342,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
             model.feature_grid = upsample(model.feature_grid, new_dims)
             grid_params, mlp_params = _split_params(model)
             adam_grid = AdamState.for_params(grid_params)
+            grads = GradientSet.zeros_like(model)
             cache = _StageCache(geometry, model, _config_step(config, geometry),
                                 grad_radius)
             after = (_eval_loss(model, cache, config, *eval_rays)
@@ -315,7 +360,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
         if not math.isfinite(tot):
             raise NumericalError(f"non-finite loss at iteration {it}")
 
-        grads = GradientSet.zeros_like(model)
+        grads.zero()
         _backward_batch(model, trace, d_r, config.bg_weight * d_t, grads,
                         sample_scale=cache.grad_scale[trace.rows_kept])
         lr_g = lr_at(it, config.lr_grid, config.total_iters,

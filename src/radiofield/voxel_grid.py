@@ -186,14 +186,20 @@ def scatter_grid_gradient(idx: np.ndarray, w: np.ndarray, upstream: np.ndarray,
     """Accumulate upstream * weight into the corner rows given a support.
 
     Shared by interpolate_backward and the batched training path, which reuses
-    precomputed supports. Deterministic: bincount reduction in index order.
+    precomputed supports. Deterministic: each channel's contributions
+    w[n, k] * upstream[n, c] are summed per node by one bincount in index
+    order, into a contiguous row of one (C, n_nodes) buffer, which is added to
+    grad_accum in a single pass. Per element this is the same sum and the same
+    final addition as a per-channel bincount added column by column.
     """
-    n_nodes = grad_accum.shape[0]
+    n_nodes, channels = grad_accum.shape
     flat_idx = idx.ravel()
-    contrib = w[:, :, None] * upstream[:, None, :]
-    for ch in range(grad_accum.shape[1]):
-        grad_accum[:, ch] += np.bincount(flat_idx, weights=contrib[:, :, ch].ravel(),
-                                         minlength=n_nodes)
+    sums = np.empty((channels, n_nodes))
+    contrib = np.empty(w.shape)
+    for ch in range(channels):
+        np.multiply(w, upstream[:, ch, None], out=contrib)
+        sums[ch] = np.bincount(flat_idx, weights=contrib.ravel(), minlength=n_nodes)
+    grad_accum += sums.T
 
 
 def upsample(grid: VoxelGrid, new_dims) -> VoxelGrid:

@@ -1,0 +1,47 @@
+"""Dense reference forms of the grid-sized training steps.
+
+`reference_adam_step` applies Adam to whole tensors with one numpy expression
+per moment and one for the update; `reference_scatter_grid_gradient` bincounts
+one channel at a time and adds each count into its column of the gradient.
+The production `trainer.adam_step` (blocked, scratch buffers) and
+`voxel_grid.scatter_grid_gradient` (row-contiguous buffer) must match them bit
+for bit; tests compare against them and can substitute them into `train()`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from radiofield.trainer import AdamState, NumericalError
+
+
+def reference_adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape "
+                             f"{p.shape} for {name!r}")
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient in tensor {name!r}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return state
+
+
+def reference_scatter_grid_gradient(idx: np.ndarray, w: np.ndarray,
+                                    upstream: np.ndarray,
+                                    grad_accum: np.ndarray) -> None:
+    n_nodes = grad_accum.shape[0]
+    flat_idx = idx.ravel()
+    contrib = w[:, :, None] * upstream[:, None, :]
+    for ch in range(grad_accum.shape[1]):
+        grad_accum[:, ch] += np.bincount(flat_idx, weights=contrib[:, :, ch].ravel(),
+                                         minlength=n_nodes)

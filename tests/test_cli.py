@@ -178,6 +178,17 @@ class TestTrainInferEval:
                        "--out", tmp_path / "o.vxrf")
         assert code == 4
 
+    def test_undecodable_tensor_name_exit_code(self, pipeline, tmp_path):
+        _, _, ckpt, _ = pipeline
+        blob = bytearray(ckpt.read_bytes())
+        i = blob.index(b"density_grid")
+        blob[i] ^= 0x80  # no longer UTF-8
+        bad = tmp_path / "bad_name.ckpt"
+        bad.write_bytes(bytes(blob))
+        code = run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
+                       "--out", tmp_path / "o.vxrf")
+        assert code == 4
+
     def test_manifest_without_rx_position_exit_code(self, tmp_path):
         data = synth_small(tmp_path, n_tx=2)
         manifest = data / "manifest.json"

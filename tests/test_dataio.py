@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radiofield.cli import _geometry_from_checkpoint
 from radiofield.dataio import (
     Blob,
     Dataset,
+    DatasetRecord,
     FormatError,
     SyntheticScene,
     generate_dataset,
@@ -21,6 +23,7 @@ from radiofield.dataio import (
     oracle_render,
     read_spectrum,
     save_checkpoint,
+    save_manifest,
     write_spectrum,
 )
 from radiofield.field_model import init_field_model, query_signal
@@ -322,3 +325,58 @@ class TestCheckpoint:
         save_checkpoint(path, m)
         size = path.stat().st_size
         assert 1_150_000 < size < 1_300_000  # ~32^3 * 9 * 4 bytes + small MLPs
+
+
+class TestCorruptFiles:
+    """Every truncation and every flip of bit 0 or 7 of every byte of a small
+    spectrum, checkpoint or manifest either loads or raises FormatError, which
+    the CLI reports as exit code 4."""
+
+    @staticmethod
+    def variants(blob: bytes):
+        for k in range(len(blob)):
+            yield f"truncated to {k} bytes", blob[:k]
+        for i in range(len(blob)):
+            for bit in (0, 7):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                yield f"bit {bit} of byte {i} flipped", bytes(flipped)
+
+    @staticmethod
+    def write_files(root: Path):
+        box = Aabb(np.zeros(3), np.ones(3))
+        model = init_field_model(box, (2, 2, 2), 1, 1, seed=0, enc_pos_levels=1,
+                                 enc_dir_levels=1)
+        save_checkpoint(root / "m.ckpt", model,
+                        extra={"rx_position": [0.5, 0.5, 0.5], "spectrum_res": [2, 2]})
+        write_spectrum(root / "s.vxrf", np.array([[0.1, 0.2], [0.3, 0.4]]))
+        geometry = SceneGeometry(np.full(3, 0.5), box, (2, 2))
+        record = DatasetRecord(np.array([0.1, 0.2, 0.3]), "s.vxrf", -40.0)
+        save_manifest(Dataset(geometry, 2.0, "linear", [record], root),
+                      root / "manifest.json")
+
+    @pytest.mark.parametrize("name", ["s.vxrf", "m.ckpt", "manifest.json"])
+    def test_only_format_errors(self, tmp_path, name):
+        def load(path):
+            if name == "s.vxrf":
+                read_spectrum(path)
+            elif name == "m.ckpt":  # what `infer` reads from a checkpoint
+                _geometry_from_checkpoint(load_checkpoint(path)[1])
+            else:
+                load_dataset(path.parent).load_spectra()
+
+        self.write_files(tmp_path)
+        path = tmp_path / name
+        original = path.read_bytes()
+        load(path)
+        rejected = 0
+        for what, blob in self.variants(original):
+            path.write_bytes(blob)
+            try:
+                load(path)
+            except FormatError:
+                rejected += 1
+            except Exception as e:
+                pytest.fail(f"{name}, {what}: {type(e).__name__}: {e}")
+        # every truncation breaks the file; bit flips in values may not
+        assert rejected >= len(original)

@@ -1,5 +1,7 @@
 """Optimizer closed forms, schedules, progressive dims, end-to-end training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,9 @@ from radiofield.trainer import (
     progressive_dims,
     train,
 )
+from radiofield import voxel_grid
 from radiofield.voxel_grid import Aabb
+from grid_reference import reference_adam_step, reference_scatter_grid_gradient
 from ray_reference import reference_ray
 
 
@@ -99,6 +103,70 @@ class TestAdam:
         state = AdamState.for_params(params)
         adam_step(params, {"w": rng.normal(size=8)}, state, lr=0.0)
         assert np.array_equal(params["w"], before)
+
+    def test_blocked_update_matches_dense_reference(self):
+        block = trainer._ADAM_BLOCK
+        shapes = {"one": (1,), "below": (block - 1,), "block": (block,),
+                  "above": (block + 1,), "rows": (3 * block // 7 + 5, 7),
+                  "wide": (3, block + 3), "cube": (1 + 2 * block // 24, 2, 12)}
+        rng = np.random.default_rng(5)
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        sides = []
+        for step in (adam_step, reference_adam_step):
+            params = {k: v.copy() for k, v in init.items()}
+            state = AdamState.for_params(params)
+            draw = np.random.default_rng(6)
+            for lr in (0.1, 0.05, 0.02, 1e-3):
+                grads = {k: draw.normal(size=s) * 10.0 ** draw.integers(-8, 3)
+                         for k, s in shapes.items()}
+                grads["one"][...] = -0.0  # a signed zero through both paths
+                step(params, grads, state, lr)
+            sides.append((params, state))
+        (p_new, s_new), (p_ref, s_ref) = sides
+        for k in shapes:
+            assert np.array_equal(p_new[k], p_ref[k]), k
+            assert np.array_equal(s_new.m[k], s_ref.m[k]), k
+            assert np.array_equal(s_new.v[k], s_ref.v[k]), k
+        assert s_new.t == s_ref.t == 4
+
+    def test_blocks_of_a_strided_parameter_are_views(self):
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(trainer._ADAM_BLOCK // 2 + 3, 4))
+        original = base.copy()
+        expect = base.copy()
+        grad = rng.normal(size=base.shape)
+        params = {"w": base.T}  # non-contiguous, rows longer than half a block
+        adam_step(params, {"w": grad.T}, AdamState.for_params(params), lr=0.1)
+        ref = {"w": expect.T}
+        reference_adam_step(ref, {"w": grad.T}, AdamState.for_params(ref), lr=0.1)
+        assert np.all(base != original)
+        assert np.array_equal(base, expect)
+
+    def test_nan_in_last_partial_block_raises_before_touching_tensor(self):
+        n = 2 * trainer._ADAM_BLOCK + 3
+        params = {"first": np.ones(4), "grid": np.ones((n, 1))}
+        grads = {"first": np.ones(4), "grid": np.ones((n, 1))}
+        grads["grid"][-1, 0] = np.nan
+        state = AdamState.for_params(params)
+        with pytest.raises(NumericalError, match="'grid'"):
+            adam_step(params, grads, state, lr=0.1)
+        assert np.all(params["grid"] == 1.0)
+        assert np.all(state.m["grid"] == 0.0) and np.all(state.v["grid"] == 0.0)
+        assert np.all(params["first"] < 1.0)  # earlier tensors are already updated
+
+    def test_allocates_far_less_than_one_tensor(self):
+        rng = np.random.default_rng(8)
+        params = {"feature_grid": rng.normal(size=(48 ** 3, 9))}
+        grads = {"feature_grid": rng.normal(size=(48 ** 3, 9))}
+        state = AdamState.for_params(params)
+        adam_step(params, grads, state, lr=0.1)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params["feature_grid"].nbytes / 16
 
 
 class TestLrSchedule:
@@ -224,6 +292,29 @@ class TestTrainLoop:
         fresh = init_field_model(ds.geometry.bbox, (16, 16, 16), 4, 16, seed=1)
         assert np.array_equal(result.model.deform_net.weights[0],
                               fresh.deform_net.weights[0])
+
+
+    def test_grid_steps_match_dense_references_end_to_end(self, tmp_path,
+                                                          monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=6, res=(8, 3))
+        cfg = smoke_config(final_dims=(10, 10, 10), stages=2, upsample_iters=(6, 12),
+                           total_iters=18, log_interval=1, tau=1e-4)
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(trainer, "adam_step", reference_adam_step)
+                monkeypatch.setattr(voxel_grid, "scatter_grid_gradient",
+                                    reference_scatter_grid_gradient)
+            lines = []
+            result = train(ds, cfg, log_fn=lines.append)
+            runs.append((lines, result.model.parameters()))
+        (lines_new, params_new), (lines_ref, params_ref) = runs
+        assert len(lines_new) == cfg.total_iters
+        assert lines_new == lines_ref
+        assert params_new.keys() == params_ref.keys()
+        for name in params_new:
+            assert np.array_equal(params_new[name], params_ref[name]), name
+        assert params_new["density_grid"].shape == (1000, 1)
 
 
 class TestEndToEndGradient:

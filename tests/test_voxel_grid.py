@@ -11,8 +11,10 @@ from radiofield.voxel_grid import (
     interp_support,
     interpolate,
     interpolate_backward,
+    scatter_grid_gradient,
     upsample,
 )
+from grid_reference import reference_scatter_grid_gradient
 
 
 def unit_box():
@@ -153,6 +155,32 @@ class TestInterpolateBackward:
         with pytest.raises(ValueError):
             interpolate_backward(g, np.full(3, 0.5), np.zeros(3),
                                  np.zeros_like(g.values))
+
+
+class TestScatterGridGradient:
+    @pytest.mark.parametrize("channels", [1, 8, 24])
+    def test_matches_per_channel_reference_bitwise(self, channels):
+        rng = np.random.default_rng(channels)
+        dims = (5, 4, 6)
+        pts = random_points_inside(unit_box(), 300, rng)
+        pts[200:] = pts[:100]  # repeated supports accumulate in index order
+        idx, w = interp_support(dims, unit_box(), pts)
+        upstream = rng.normal(size=(300, channels)) * 10.0 ** rng.integers(
+            -6, 6, size=(300, 1))
+        upstream[::7] = -0.0
+        start = rng.normal(size=(120, channels))
+        new, ref = start.copy(), start.copy()
+        scatter_grid_gradient(idx, w, upstream, new)
+        reference_scatter_grid_gradient(idx, w, upstream, ref)
+        assert np.array_equal(new, ref)
+        assert np.array_equal(np.signbit(new), np.signbit(ref))
+        assert not np.array_equal(new, start)
+
+    def test_empty_batch_leaves_buffer(self):
+        grad = np.ones((8, 3))
+        scatter_grid_gradient(np.empty((0, 8), dtype=np.int64), np.empty((0, 8)),
+                              np.empty((0, 3)), grad)
+        assert np.all(grad == 1.0)
 
 
 class TestUpsample:
