@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration, 3 I/O, 4 file format, 5 numerical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -40,6 +41,11 @@ class ConfigError(Exception):
 
 _UNSET = object()
 
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
 # dotted key -> (parser kwargs); aliases give the short spec-style flags
 _SCHEMA = {
     "scene.name": dict(type=str, help="builtin scene (demo, demo-static) or scene JSON path",
@@ -50,9 +56,6 @@ _SCHEMA = {
                                 alias="--rssi-noise-db"),
     "scene.fine_step": dict(type=float, help="oracle quadrature step in meters",
                             alias="--fine-step"),
-    "geometry.rx_position": dict(type=float, nargs=3, help="receiver position (m)"),
-    "geometry.bbox_min": dict(type=float, nargs=3, help="scene box minimum corner (m)"),
-    "geometry.bbox_max": dict(type=float, nargs=3, help="scene box maximum corner (m)"),
     "geometry.spectrum_res": dict(type=int, nargs=2, help="azimuth x elevation cells",
                                   alias="--res"),
     "trainer.final_dims": dict(type=int, nargs=3),
@@ -67,12 +70,11 @@ _SCHEMA = {
     "trainer.lr_decay_target_fraction": dict(type=float),
     "trainer.tau": dict(type=float),
     "trainer.bg_weight": dict(type=float),
-    "trainer.step_size": dict(type=float),
     "trainer.seed": dict(type=int),
     "trainer.density_bias": dict(type=float),
     "trainer.enc_pos_levels": dict(type=int),
     "trainer.enc_dir_levels": dict(type=int),
-    "trainer.deform_enabled": dict(type=lambda s: s.lower() in ("1", "true", "yes")),
+    "trainer.deform_enabled": dict(type=_parse_bool),
     "trainer.log_interval": dict(type=int),
     "run.seed": dict(type=int, help="generation seed", alias="--seed"),
     "run.n_tx": dict(type=int, help="transmitter count to synthesize", alias="--n-tx"),
@@ -95,8 +97,7 @@ _SCHEMA = {
 
 _COMMAND_KEYS = {
     "synth": ["scene.name", "scene.tx_modulation", "scene.rssi_noise_db",
-              "scene.fine_step", "geometry.rx_position", "geometry.bbox_min",
-              "geometry.bbox_max", "geometry.spectrum_res", "run.seed", "run.n_tx",
+              "scene.fine_step", "geometry.spectrum_res", "run.seed", "run.n_tx",
               "paths.out"],
     "train": [k for k in _SCHEMA if k.startswith("trainer.")]
     + ["run.profile", "run.split_seed", "run.train_fraction", "paths.data",
@@ -124,6 +125,27 @@ _DEFAULTS = {
 }
 
 
+# per flag parser type: the JSON type(s) a config-file value may take
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
+               str: ("a string", str), _parse_bool: ("true or false", bool)}
+
+
+def _check_config_value(key: str, value) -> None:
+    """Raise ConfigError unless value is what the flag of key parses: one value
+    of its type (a bool for a store_true flag), or a list of nargs of them."""
+    spec = _SCHEMA[key]
+    name, types = _JSON_TYPES[spec.get("type", _parse_bool)]
+    nargs = spec.get("nargs")
+    items = [value] if nargs is None else value
+    # bool is an int subclass: only a bool key takes one
+    if not (isinstance(items, list) and nargs in (None, "*", len(items))
+            and all(isinstance(v, types) and isinstance(v, bool) == (types is bool)
+                    for v in items)):
+        if nargs is not None:
+            name = f"a list of {'' if nargs == '*' else f'{nargs} '}values, each {name}"
+        raise ConfigError(f"config key {key} must be {name}, got {value!r}")
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -141,6 +163,7 @@ def _load_config_file(path: str) -> dict:
         for key, value in body.items():
             dotted = f"{section}.{key}"
             if dotted in _SCHEMA:
+                _check_config_value(dotted, value)
                 flat[dotted] = value
             else:
                 unknown.append(dotted)
@@ -165,7 +188,11 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
 
 
 def builtin_scene(name: str, tx_modulation: float | None = None):
-    """Built-in desk-scale scenes plus matching geometry."""
+    """Built-in desk-scale scenes, or a scene JSON file, plus matching geometry.
+
+    A scene file that is not a UTF-8 JSON object with every field well formed
+    raises FormatError.
+    """
     if name in ("demo", "demo-static"):
         box = Aabb(np.zeros(3), np.full(3, 3.5))
         rx = np.array([1.75, 1.75, 1.4])
@@ -182,18 +209,27 @@ def builtin_scene(name: str, tx_modulation: float | None = None):
     path = Path(name)
     if not path.exists():
         raise ConfigError(f"unknown scene {name!r} (builtins: demo, demo-static)")
-    with open(path) as fh:
-        doc = json.load(fh)
-    box = Aabb(np.array(doc["bbox"]["min_corner"], dtype=np.float64),
-               np.array(doc["bbox"]["max_corner"], dtype=np.float64))
-    scene = SyntheticScene(
-        bbox=box, rx_position=np.array(doc["rx_position"], dtype=np.float64),
-        blobs=[Blob(b["center"], b["radius"], b["peak_density"], b["emission"])
-               for b in doc["blobs"]],
-        tx_modulation=doc.get("tx_modulation", 0.0)
-        if tx_modulation is None else tx_modulation)
-    geometry = SceneGeometry(rx_position=scene.rx_position, bbox=box,
-                             spectrum_res=tuple(doc.get("spectrum_res", (36, 9))))
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: scene file must hold a JSON object")
+    try:
+        box = Aabb(np.array(doc["bbox"]["min_corner"], dtype=np.float64),
+                   np.array(doc["bbox"]["max_corner"], dtype=np.float64))
+        scene = SyntheticScene(
+            bbox=box, rx_position=np.array(doc["rx_position"], dtype=np.float64),
+            blobs=[Blob(b["center"], b["radius"], b["peak_density"], b["emission"])
+                   for b in doc["blobs"]],
+            tx_modulation=doc.get("tx_modulation", 0.0))
+        geometry = SceneGeometry(rx_position=scene.rx_position, bbox=box,
+                                 spectrum_res=tuple(doc.get("spectrum_res", (36, 9))))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{path}: missing or malformed field "
+                          f"({type(e).__name__}: {e})") from e
+    if tx_modulation is not None:
+        scene = dataclasses.replace(scene, tx_modulation=tx_modulation)
     return scene, geometry
 
 
@@ -232,10 +268,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     overrides = {}
     for key, value in cfg.items():
         if key.startswith("trainer.") and value is not None:
-            name = key.split(".", 1)[1]
-            if name in ("final_dims", "upsample_iters"):
-                value = tuple(value)
-            overrides[name] = value
+            overrides[key.split(".", 1)[1]] = value
     try:
         base = TrainConfig.paper if profile == "paper" else TrainConfig.desk
         return base(**overrides)

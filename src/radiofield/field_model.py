@@ -249,11 +249,6 @@ class GradientSet:
             raise KeyError(name)
         self.buffers[name] = value
 
-    def check_finite(self):
-        for name, g in self.buffers.items():
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient in tensor {name!r}")
-
 
 def init_field_model(bbox: Aabb, dims, feature_dim: int, hidden_width: int,
                      seed: int, density_bias: float = -3.0,

@@ -96,36 +96,21 @@ def clip_rays(origin: np.ndarray, directions: np.ndarray, bbox: Aabb) -> np.ndar
     return np.maximum(np.min(np.maximum(t1, t2), axis=1), 0.0)
 
 
-def clip_ray(origin: np.ndarray, direction: np.ndarray, bbox: Aabb):
-    """Slab intersection of a ray starting inside the box.
-
-    Returns (t_near, t_far) with t_near = 0; axis-parallel directions get
-    infinite slab bounds rather than NaN.
-    """
-    return 0.0, float(clip_rays(origin, direction, bbox)[0])
-
-
 def default_step(bbox: Aabb, dims) -> float:
     """Quarter of the smallest voxel edge: extent / (dims - 1) per axis."""
     edges = bbox.extent / (np.asarray(dims, dtype=np.float64) - 1.0)
     return float(edges.min()) / 4.0
 
 
-def sample_ray(geometry: SceneGeometry, direction: np.ndarray, step: float):
-    """Uniform samples along a receiver ray, clipped to the scene box.
-
-    Sample i sits at distance (i + 0.5) * step, K = floor(t_far / step); every
-    spacing equals `step` except the last, which covers the remaining distance
-    to the box exit. Returns (positions (K, 3), spacings (K,)).
-    """
-    positions, spacings, _ = sample_rays(geometry, direction, step)
-    return positions, spacings
-
-
 def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
-    """Sample many rays at once, each as `sample_ray` does; returns concatenated
-    positions/spacings plus per-ray offsets (offsets[b]..offsets[b+1] indexes
-    ray b's samples)."""
+    """Uniform samples along receiver rays, clipped to the scene box.
+
+    On each ray, sample i sits at distance (i + 0.5) * step, K = floor(t_far /
+    step); every spacing equals `step` except the last, which covers the
+    remaining distance to the box exit. Returns concatenated positions and
+    spacings plus per-ray offsets (offsets[b]..offsets[b+1] indexes ray b's
+    samples).
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
@@ -226,16 +211,20 @@ class SampleTable:
     support they share in the density and feature grids.
 
     All rays are clipped and sampled in one `sample_rays` pass; ray b owns
-    rows offsets[b]..offsets[b+1]. The table depends only on the geometry,
-    the grid dims and box, and the step, so one table serves every
-    transmitter and every parameter update until the grids are resampled.
+    rows offsets[b]..offsets[b+1]. The step defaults to `default_step` of the
+    model's grid, and directions to every spectrum direction. The table
+    depends only on the geometry, the grid dims and box, and the step, so one
+    table serves every transmitter and every parameter update until the grids
+    are resampled.
     enc_x holds per-sample position encodings when the table's owner caches
     them; it is None otherwise, and `forward_segments` encodes the kept
     samples of each call.
     """
 
-    def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
-                 directions: np.ndarray | None = None):
+    def __init__(self, geometry: SceneGeometry, model: FieldModel,
+                 step: float | None = None, directions: np.ndarray | None = None):
+        if step is None:
+            step = default_step(geometry.bbox, model.density_grid.dims)
         if directions is None:
             directions = all_directions(geometry.spectrum_res)
         dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
@@ -270,13 +259,13 @@ class SegmentTrace:
     sig_cache: object          # signal_forward cache, with want_cache
 
 
-def forward_segments(model: FieldModel, table: SampleTable, enc_tx: np.ndarray,
+def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
                      cells: np.ndarray | None, tau: float, want_cache: bool = False):
     """Render rays of a sample table with empty-space skipping.
 
     cells picks the table ray of each rendered ray; None renders every table
-    ray in order, reading the table's arrays in place. enc_tx is the encoded
-    transmitter position, (width,) for all rays or (n_rays, width) per ray.
+    ray in order, reading the table's arrays in place. tx is the transmitter
+    position, (3,) for all rays or (n_rays, 3) per ray.
     Samples with density below tau are skipped; the signal nets run on the
     kept samples only, and compositing runs on per-ray segments of them.
     Returns (accumulated per ray, final transmittance per ray, trace).
@@ -301,6 +290,7 @@ def forward_segments(model: FieldModel, table: SampleTable, enc_tx: np.ndarray,
     if len(rk):
         feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx],
                          kept_weights)
+        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
         enc_tx = enc_tx[rk] if enc_tx.ndim == 2 else np.broadcast_to(
             enc_tx, (len(rk), len(enc_tx)))
         if table.enc_x is None:
@@ -386,19 +376,27 @@ class RayTrace:
         return int(self.kept.sum())
 
 
+def _render_table(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
+                  step: float | None, tau: float, directions: np.ndarray | None = None):
+    """Check tau and tx, build a table and render all of its rays with
+    `forward_segments`; returns the table and the forward's outputs."""
+    if tau < 0:
+        raise ValueError("skip threshold must be nonnegative")
+    tx = np.asarray(tx, dtype=np.float64)
+    if not np.all(np.isfinite(tx)):
+        raise ValueError("tx must be finite")
+    table = SampleTable(geometry, model, step, directions)
+    return (table, *forward_segments(model, table, tx, None, tau))
+
+
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
               direction: np.ndarray, step: float | None = None,
               tau: float = 0.0) -> RayTrace:
     """Render one ray keeping all intermediates (for tests and diagnostics):
     `forward_segments` over a one-direction table."""
-    if tau < 0:
-        raise ValueError("skip threshold must be nonnegative")
-    if step is None:
-        step = default_step(geometry.bbox, model.density_grid.dims)
     direction = np.asarray(direction, dtype=np.float64)
-    table = SampleTable(geometry, model, step, directions=direction)
-    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
-    r_out, t_out, trace = forward_segments(model, table, enc_tx, None, tau)
+    table, r_out, t_out, trace = _render_table(model, geometry, tx, step, tau,
+                                               direction)
     signal = np.zeros(len(table.spacings))
     signal[trace.kept] = trace.signal_kept
     return RayTrace(direction=direction, positions=table.positions,
@@ -407,14 +405,6 @@ def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
                     transmittance=np.exp(-trace.excl_prefix),
                     weights=trace.weights, accumulated=float(r_out[0]),
                     final_transmittance=float(t_out[0]))
-
-
-def render_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-               direction: np.ndarray, step: float | None = None,
-               tau: float = 0.0):
-    """Accumulated signal and final transmittance of a single ray."""
-    t = trace_ray(model, geometry, tx, direction, step=step, tau=tau)
-    return t.accumulated, t.final_transmittance
 
 
 @dataclass
@@ -439,16 +429,7 @@ def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
                            tau: float = 0.0):
     """render_spectrum plus per-ray transmittance and skip statistics:
     `forward_segments` over every ray of a full-spectrum table."""
-    if tau < 0:
-        raise ValueError("skip threshold must be nonnegative")
-    tx = np.asarray(tx, dtype=np.float64)
-    if not np.all(np.isfinite(tx)):
-        raise ValueError("tx must be finite")
-    if step is None:
-        step = default_step(geometry.bbox, model.density_grid.dims)
-    table = SampleTable(geometry, model, step)
-    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
-    r_out, t_out, trace = forward_segments(model, table, enc_tx, None, tau)
+    table, r_out, t_out, trace = _render_table(model, geometry, tx, step, tau)
     spectrum = r_out.reshape(geometry.spectrum_res)
     return spectrum, SpectrumTrace(final_transmittance=t_out,
                                    n_samples=len(table.spacings),

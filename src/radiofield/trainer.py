@@ -58,7 +58,6 @@ class TrainConfig:
     lr_decay_target_fraction: float = 0.1
     tau: float = 1e-4
     bg_weight: float = 1e-4
-    step_size: float | None = None  # None: quarter of the current voxel edge
     seed: int = 0
     density_bias: float = -3.0
     enc_pos_levels: int = 5
@@ -229,7 +228,7 @@ def near_receiver_radius(geometry: SceneGeometry, final_dims) -> float:
 
 class _StageCache(SampleTable):
     """The sample table of a resolution stage, over every spectrum direction;
-    valid while the grid resolution (hence step size) is unchanged.
+    valid while the grid resolution is unchanged.
 
     Every iteration gathers its batch from this table, so it also caches
     every sample's position encoding. With grad_radius r0 given, grad_scale
@@ -261,17 +260,8 @@ class TrainResult:
     upsample_events: list = field(default_factory=list)
 
 
-def _config_step(config: TrainConfig, geometry: SceneGeometry) -> float:
-    """Quarter of the final grid's voxel edge, fixed across progressive stages
-    so upsample events change only the representation, not the quadrature."""
-    if config.step_size is not None:
-        return config.step_size
-    return default_step(geometry.bbox, config.final_dims)
-
-
 def _eval_loss(model, cache, config, txs, cells, targets):
-    enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-    r_hat, t_k, _ = _forward_batch(model, cache, enc_tx, cells, config.tau)
+    r_hat, t_k, _ = _forward_batch(model, cache, txs, cells, config.tau)
     sl, _ = spectrum_mse(r_hat, targets)
     bl, _ = background_entropy(t_k)
     return total_loss(sl, bl, config.bg_weight)
@@ -322,10 +312,11 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     grid_params, mlp_params = _split_params(model)
     adam_grid = AdamState.for_params(grid_params)
     adam_mlp = AdamState.for_params(mlp_params)
-    enc_tx_all = positional_encode(model.normalize_positions(tx_positions),
-                                   model.enc_pos)
+    # a quarter of the final voxel edge in every stage, so upsample events
+    # change only the representation, not the quadrature
+    step = default_step(geometry.bbox, config.final_dims)
     grad_radius = near_receiver_radius(geometry, config.final_dims)
-    cache = _StageCache(geometry, model, _config_step(config, geometry), grad_radius)
+    cache = _StageCache(geometry, model, step, grad_radius)
     grads = GradientSet.zeros_like(model)
     upsample_at = {it: s + 1 for s, it in enumerate(config.upsample_iters)}
 
@@ -343,8 +334,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
             grid_params, mlp_params = _split_params(model)
             adam_grid = AdamState.for_params(grid_params)
             grads = GradientSet.zeros_like(model)
-            cache = _StageCache(geometry, model, _config_step(config, geometry),
-                                grad_radius)
+            cache = _StageCache(geometry, model, step, grad_radius)
             after = (_eval_loss(model, cache, config, *eval_rays)
                      if eval_rays is not None else None)
             events.append({"iteration": it, "stage": stage, "dims": new_dims,
@@ -352,7 +342,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 
         rec = rng.integers(0, n_records, config.batch_rays)
         cell = rng.integers(0, n_cells, config.batch_rays)
-        r_hat, t_k, trace = _forward_batch(model, cache, enc_tx_all[rec], cell,
+        r_hat, t_k, trace = _forward_batch(model, cache, tx_positions[rec], cell,
                                            config.tau, want_cache=True)
         sl_loss, d_r = spectrum_mse(r_hat, targets[rec, cell])
         bg_loss, d_t = background_entropy(t_k)
@@ -381,15 +371,14 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 
 
 def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
-                         step: float | None = None, tau: float = 1e-4) -> float:
+                         tau: float = 1e-4) -> float:
     """Least-squares constant offset between measured RSSI and the model's
     10*log10(total predicted power), over records carrying a measurement."""
     residuals = []
     for rec in records:
         if rec.rssi_dbm is None:
             continue
-        spectrum = render_spectrum(model, geometry, rec.tx_position, step=step,
-                                   tau=tau)
+        spectrum = render_spectrum(model, geometry, rec.tx_position, tau=tau)
         power = float(spectrum.sum())
         if power <= 0:
             continue

@@ -79,11 +79,6 @@ class VoxelGrid:
     def n_nodes(self) -> int:
         return self.dims[0] * self.dims[1] * self.dims[2]
 
-    @property
-    def voxel_edges(self) -> np.ndarray:
-        """Per-axis cell edge length in meters: extent / (dims - 1)."""
-        return self.bbox.extent / (np.asarray(self.dims, dtype=np.float64) - 1.0)
-
     def node_positions(self) -> np.ndarray:
         """World positions of all nodes, (n_nodes, 3), in storage row order."""
         lx, ly, lz = self.dims

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radiofield.field_model import GradientSet, positional_encode
+from radiofield.field_model import GradientSet
 from radiofield.objectives import (
     background_entropy,
     entropy_clamped,
@@ -44,8 +44,7 @@ def pipeline_gradient(model, cache, txs, cells, targets, bg_weight: float):
     """Analytic gradients of the render-and-loss pipeline on a ray batch
     (no skipping), plus evaluate() -> (loss, branch pattern) for differencing."""
     def forward():
-        enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-        r_hat, t_k, trace = _forward_batch(model, cache, enc_tx, cells, tau=0.0,
+        r_hat, t_k, trace = _forward_batch(model, cache, txs, cells, tau=0.0,
                                            want_cache=True)
         sl, d_r = spectrum_mse(r_hat, targets)
         bl, d_t = background_entropy(t_k)

@@ -1,5 +1,6 @@
 """CLI wiring: commands, config merging, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -10,8 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radiofield.cli import main, split_indices
+from radiofield.cli import (
+    _SCHEMA,
+    _load_config_file,
+    _train_config,
+    main,
+    split_indices,
+)
 from radiofield.dataio import load_dataset, read_spectrum
+from radiofield.trainer import TrainConfig
 
 
 def run_cli(*args):
@@ -104,6 +112,79 @@ class TestConfigFile:
         cfg.write_text("{nope")
         assert run_cli("synth", "--config", cfg, "--n-tx", 2,
                        "--out", tmp_path / "o") == 2
+
+
+SCENE = {"bbox": {"min_corner": [0, 0, 0], "max_corner": [2, 2, 2]},
+         "rx_position": [1.0, 1.0, 0.5],
+         "blobs": [{"center": [1.0, 1.0, 1.3], "radius": 0.3, "peak_density": 6.0,
+                    "emission": 0.8}]}
+
+
+def scene_bytes(drop=None, drop_blob=None) -> bytes:
+    doc = json.loads(json.dumps(SCENE))
+    doc.pop(drop, None)
+    for blob in doc["blobs"]:
+        blob.pop(drop_blob, None)
+    return json.dumps(doc).encode()
+
+
+class TestMalformedInput:
+    """Bad scene files exit 4 and wrongly typed config values exit 2, each
+    with a message instead of a traceback."""
+
+    def test_well_formed_scene_file_synthesizes(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(scene_bytes())
+        assert run_cli("synth", "--scene", scene, "--n-tx", 1, "--res", 4, 2,
+                       "--fine-step", 0.1, "--out", tmp_path / "d") == 0
+
+    @pytest.mark.parametrize("content", [
+        scene_bytes(drop="rx_position"),
+        b"[1, 2]",
+        scene_bytes(drop_blob="radius"),
+        b"{nope",
+        b'{"rx_position": "\xff"}',
+    ], ids=["no_rx_position", "list_root", "blob_without_radius", "invalid_json",
+            "not_utf8"])
+    def test_malformed_scene_file_is_format_error(self, tmp_path, content):
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(content)
+        res = run_cli_subprocess("synth", "--scene", scene, "--n-tx", 1,
+                                 "--out", tmp_path / "d")
+        assert res.returncode == 4, res.stderr
+        assert "Traceback" not in res.stderr and "format error" in res.stderr
+
+    @pytest.mark.parametrize("doc,args", [
+        ({"paths": {"out": 5}}, ["synth", "--n-tx", "1"]),
+        ({"run": {"n_tx": [3]}}, ["synth", "--out", "OUT"]),
+        ({"trainer": {"deform_enabled": "no"}}, ["train", "--data", "DATA", "--out", "OUT"]),
+        ({"trainer": {"final_dims": [8, 8]}}, ["train", "--data", "DATA", "--out", "OUT"]),
+    ], ids=["out_number", "n_tx_list", "deform_enabled_string", "final_dims_short"])
+    def test_wrongly_typed_config_value_is_config_error(self, tmp_path, doc, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        args = [tmp_path / a if a.isupper() else a for a in args]
+        res = run_cli_subprocess(*args, "--config", cfg)
+        assert res.returncode == 2, res.stderr
+        ((section, body),) = doc.items()
+        assert "Traceback" not in res.stderr and f"{section}.{next(iter(body))}" in res.stderr
+
+    def test_config_values_reach_train_config_unconverted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trainer": {"deform_enabled": False,
+                                               "final_dims": [8, 8, 8],
+                                               "upsample_iters": [],
+                                               "stages": 0, "lr_grid": 1}}))
+        config = _train_config(_load_config_file(str(cfg)))
+        assert config.deform_enabled is False
+        assert config.final_dims == (8, 8, 8) and config.upsample_iters == ()
+        assert config.lr_grid == 1
+
+
+class TestSchema:
+    def test_trainer_keys_are_train_config_fields(self):
+        keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith("trainer.")}
+        assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from radiofield.renderer import (
     SampleTable,
     SceneGeometry,
     backward_segments,
-    default_step,
     forward_segments,
 )
 from radiofield.voxel_grid import Aabb
@@ -37,14 +36,13 @@ def ray_gradient(model, tx, cells, d_r, d_t):
     and the forward trace."""
     geo = SceneGeometry(rx_position=np.array([0.45, 0.55, 0.2]), bbox=unit_box(),
                         spectrum_res=(4, 2))
-    table = SampleTable(geo, model, default_step(geo.bbox, model.density_grid.dims))
-    enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
+    table = SampleTable(geo, model)
 
     def loss():
-        r, t_k, _ = forward_segments(model, table, enc_tx, cells, tau=0.0)
+        r, t_k, _ = forward_segments(model, table, tx, cells, tau=0.0)
         return float(d_r @ r + d_t @ t_k)
 
-    _, _, trace = forward_segments(model, table, enc_tx, cells, tau=0.0,
+    _, _, trace = forward_segments(model, table, tx, cells, tau=0.0,
                                    want_cache=True)
     grads = GradientSet.zeros_like(model)
     backward_segments(model, trace, d_r, d_t, grads)

@@ -7,19 +7,19 @@ import pytest
 import radiofield.renderer as renderer
 from radiofield.field_model import init_field_model
 from radiofield.renderer import (
+    SampleTable,
     SceneGeometry,
     aggregate_rssi,
     all_directions,
-    clip_ray,
+    clip_rays,
     composite,
     composite_segments,
     composite_segments_backward,
     default_step,
     direction_from_angles,
-    render_ray,
+    forward_segments,
     render_spectrum,
     render_spectrum_traced,
-    sample_ray,
     sample_rays,
     trace_ray,
 )
@@ -81,9 +81,9 @@ class TestDirections:
 class TestClipRay:
     def test_axis_ray_from_center(self):
         box = Aabb(-np.full(3, 0.5), np.full(3, 0.5))
-        t_near, t_far = clip_ray(np.zeros(3), np.array([1.0, 0.0, 0.0]), box)
-        assert t_near == 0.0
-        assert t_far == pytest.approx(0.5, abs=1e-12)
+        t_far = clip_rays(np.zeros(3), np.array([1.0, 0.0, 0.0]), box)
+        assert t_far.shape == (1,)
+        assert t_far[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_diagonal_closed_form(self):
         # Oracle: from a point at offset p along the main diagonal of the unit
@@ -91,20 +91,21 @@ class TestClipRay:
         box = Aabb(np.zeros(3), np.ones(3))
         d = np.full(3, 1.0 / np.sqrt(3.0))
         start = np.full(3, 0.25)
-        _, t_far = clip_ray(start, d, box)
+        t_far = clip_rays(start, d, box)[0]
         assert t_far == pytest.approx(np.sqrt(3.0) * 0.75, rel=1e-12)
 
     def test_zero_component_no_nan(self):
         box = centered_box()
-        for d in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]):
-            _, t_far = clip_ray(np.array([0.2, -0.3, 0.1]), np.array(d), box)
-            assert np.isfinite(t_far) and t_far > 0
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
+        t_far = clip_rays(np.array([0.2, -0.3, 0.1]), dirs, box)
+        assert np.all(np.isfinite(t_far)) and np.all(t_far > 0)
 
 
 class TestSampleRay:
     def test_uniform_positions(self):
         geo = demo_geometry()
-        pos, spc = sample_ray(geo, np.array([1.0, 0.0, 0.0]), 0.25)
+        pos, spc, offsets = sample_rays(geo, np.array([1.0, 0.0, 0.0]), 0.25)
+        assert list(offsets) == [0, 4]
         np.testing.assert_allclose(pos[:, 0], [0.125, 0.375, 0.625, 0.875], atol=1e-12)
         np.testing.assert_allclose(pos[:, 1:], 0.0, atol=1e-12)
         np.testing.assert_allclose(spc[:-1], 0.25)
@@ -112,24 +113,24 @@ class TestSampleRay:
 
     def test_floor_rule_boundaries(self):
         geo = demo_geometry()
-        pos, _ = sample_ray(geo, np.array([1.0, 0.0, 0.0]), 1.5)  # t_far = 1
+        pos, _, _ = sample_rays(geo, np.array([1.0, 0.0, 0.0]), 1.5)  # t_far = 1
         assert len(pos) == 0
-        pos, _ = sample_ray(geo, np.array([1.0, 0.0, 0.0]), 0.6)
+        pos, _, _ = sample_rays(geo, np.array([1.0, 0.0, 0.0]), 0.6)
         assert len(pos) == 1
 
     def test_positions_inside_box(self):
         geo = demo_geometry()
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            pos, spc = sample_ray(geo, d, 0.03)
-            assert np.all(geo.bbox.contains(pos))
-            assert np.all(spc > 0)
+        dirs = rng.normal(size=(20, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pos, spc, offsets = sample_rays(geo, dirs, 0.03)
+        assert np.all(np.diff(offsets) > 0)
+        assert np.all(geo.bbox.contains(pos))
+        assert np.all(spc > 0)
 
     def test_batch_matches_per_ray_formula(self):
         # Reference: each ray clipped and sampled on its own, as the
-        # sample_ray docstring states; one ray leaves the box before its
+        # sample_rays docstring states; one ray leaves the box before its
         # first sample and two are axis-parallel.
         geo = SceneGeometry(rx_position=np.array([0.9, -0.2, 0.1]),
                             bbox=centered_box(), spectrum_res=(4, 2))
@@ -154,7 +155,7 @@ class TestSampleRay:
             assert offsets[b + 1] - offsets[b] == k
             np.testing.assert_array_equal(pos[sel], geo.rx_position + r[:, None] * d)
             np.testing.assert_array_equal(spc[sel], want_spc)
-            one_pos, one_spc = sample_ray(geo, d, step)
+            one_pos, one_spc, _ = sample_rays(geo, d, step)
             np.testing.assert_array_equal(one_pos, pos[sel])
             np.testing.assert_array_equal(one_spc, spc[sel])
 
@@ -244,7 +245,47 @@ class TestCompositeBackward:
         assert len(d_optical) == 0 and len(d_signal) == 0
 
 
+class TestForwardSegments:
+    @pytest.mark.parametrize("tau", [0.0, 0.15])
+    def test_per_ray_transmitters_match_one_transmitter_renders(self, tau):
+        # With one transmitter per ray (a cell repeated under two of them),
+        # each ray equals, bit for bit, the same cell batch rendered under
+        # that ray's transmitter alone. The full-table render agrees up to
+        # the summation order of the segmented prefix sums.
+        m = smooth_model(seed=21)  # density 0.05-0.31: tau = 0.15 skips some
+        geo = SceneGeometry(rx_position=np.array([0.1, -0.2, 0.0]),
+                            bbox=centered_box(), spectrum_res=(8, 4))
+        table = SampleTable(geo, m)
+        rng = np.random.default_rng(22)
+        txs = rng.uniform(-1.5, 1.5, (7, 3))
+        cells = np.array([3, 31, 0, 17, 17, 9, 25])
+        r, t_k, trace = forward_segments(m, table, txs, cells, tau)
+        assert trace.kept.any()
+        one_r, one_t = np.empty(7), np.empty(7)
+        for i, tx in enumerate(txs):
+            r_i, t_i, _ = forward_segments(m, table, tx, cells, tau)
+            one_r[i], one_t[i] = r_i[i], t_i[i]
+            full_r, full_t, _ = forward_segments(m, table, tx, None, tau)
+            assert r[i] == pytest.approx(full_r[cells[i]], rel=1e-12, abs=1e-15)
+            assert t_k[i] == pytest.approx(full_t[cells[i]], rel=1e-12)
+        assert np.array_equal(r, one_r) and np.array_equal(t_k, one_t)
+        assert r[3] != r[4]  # the repeated cell sees its own transmitter
+
+    def test_table_step_defaults_to_quarter_voxel(self):
+        m = smooth_model()
+        geo = demo_geometry()
+        step = default_step(geo.bbox, m.density_grid.dims)
+        assert np.array_equal(SampleTable(geo, m).positions,
+                              SampleTable(geo, m, step).positions)
+
+
 class TestRenderRay:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transmitter_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            trace_ray(smooth_model(), demo_geometry(), np.array([0.0, bad, 0.0]),
+                      np.array([0.0, 0.0, 1.0]))
+
     def test_fully_skipped_ray_never_queries_signal(self, monkeypatch):
         m = smooth_model()
         m.density_grid.values[:] = -1000.0  # softplus underflows to zero
@@ -257,8 +298,8 @@ class TestRenderRay:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(renderer, "signal_forward", spy)
-        r, t_k = render_ray(m, geo, np.zeros(3), np.array([0.0, 0.0, 1.0]), tau=1e-4)
-        assert r == 0.0 and t_k == 1.0
+        t = trace_ray(m, geo, np.zeros(3), np.array([0.0, 0.0, 1.0]), tau=1e-4)
+        assert t.accumulated == 0.0 and t.final_transmittance == 1.0
         assert calls == []
 
     def test_skip_accounting(self):

@@ -8,10 +8,11 @@ import pytest
 from fd_check import kink_aware_differences, pipeline_gradient
 from radiofield import trainer
 from radiofield.dataio import Blob, SyntheticScene, generate_dataset
-from radiofield.field_model import GradientSet, init_field_model, positional_encode
+from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SceneGeometry,
     all_directions,
+    default_step,
     direction_from_angles,
     sample_rays,
 )
@@ -226,8 +227,7 @@ class TestTrainLoop:
         cache = _StageCache(ds.geometry, model, step=0.04)
         txs = ds.tx_positions()[:3]
         cells = np.array([5, 17, 30])
-        enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-        r_hat, t_k, _ = _forward_batch(model, cache, enc_tx, cells, tau=1e-4)
+        r_hat, t_k, _ = _forward_batch(model, cache, txs, cells, tau=1e-4)
         for i, c in enumerate(cells):
             m_i, n_i = divmod(int(c), ds.geometry.spectrum_res[1])
             d = direction_from_angles(m_i, n_i, ds.geometry.spectrum_res)
@@ -414,8 +414,7 @@ class TestNearReceiverGradientScale:
         assert cache.grad_scale.min() < 0.01  # most samples would be scaled
         cells = np.array([1, 7, 20, 31])
         txs = ds.tx_positions()[[0, 1, 2, 0]]
-        enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-        _, _, trace = _forward_batch(model, cache, enc_tx, cells, tau=0.0,
+        _, _, trace = _forward_batch(model, cache, txs, cells, tau=0.0,
                                      want_cache=True)
         d_r = rng.normal(size=4)
         d_t = rng.normal(size=4)
@@ -449,7 +448,7 @@ class TestNearReceiverGradientScale:
         train(ds, cfg)
         assert len(seen) == 2
         r0 = near_receiver_radius(ds.geometry, cfg.final_dims)
-        step = trainer._config_step(cfg, ds.geometry)
+        step = default_step(ds.geometry.bbox, cfg.final_dims)
         positions, _, _ = sample_rays(ds.geometry,
                                       all_directions(ds.geometry.spectrum_res), step)
         r = np.linalg.norm(positions - ds.geometry.rx_position, axis=1)
