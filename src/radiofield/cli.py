@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
+    DEFAULT_SPECTRUM_RES,
     Blob,
     Dataset,
     FormatError,
@@ -25,6 +26,7 @@ from .dataio import (
     generate_dataset,
     load_checkpoint,
     load_dataset,
+    load_scene_file,
     read_spectrum,
     save_checkpoint,
     write_spectrum,
@@ -46,83 +48,63 @@ def _parse_bool(text: str) -> bool:
     return text.lower() in ("1", "true", "yes")
 
 
-# dotted key -> (parser kwargs); aliases give the short spec-style flags
+# dotted key -> its one declaration: the argparse kwargs of its flag plus
+#   alias     the short spec-style flag, if any
+#   on        the commands that take it
+#   required  whether every command that takes it needs a value
+#   default   its value when neither the config file nor a flag sets one
 _SCHEMA = {
     "scene.name": dict(type=str, help="builtin scene (demo, demo-static) or scene JSON path",
-                       alias="--scene"),
+                       alias="--scene", on=("synth",), default="demo"),
     "scene.tx_modulation": dict(type=float, help="override transmitter modulation strength",
-                                alias="--tx-modulation"),
+                                alias="--tx-modulation", on=("synth",)),
     "scene.rssi_noise_db": dict(type=float, help="attach ground-truth RSSI with this noise",
-                                alias="--rssi-noise-db"),
+                                alias="--rssi-noise-db", on=("synth",)),
     "scene.fine_step": dict(type=float, help="oracle quadrature step in meters",
-                            alias="--fine-step"),
+                            alias="--fine-step", on=("synth",)),
     "geometry.spectrum_res": dict(type=int, nargs=2, help="azimuth x elevation cells",
-                                  alias="--res"),
-    "trainer.final_dims": dict(type=int, nargs=3),
-    "trainer.feature_dim": dict(type=int),
-    "trainer.mlp_width": dict(type=int),
-    "trainer.stages": dict(type=int),
-    "trainer.upsample_iters": dict(type=int, nargs="*"),
-    "trainer.total_iters": dict(type=int),
-    "trainer.batch_rays": dict(type=int),
-    "trainer.lr_grid": dict(type=float),
-    "trainer.lr_mlp": dict(type=float),
-    "trainer.lr_decay_target_fraction": dict(type=float),
-    "trainer.tau": dict(type=float),
-    "trainer.bg_weight": dict(type=float),
-    "trainer.seed": dict(type=int),
-    "trainer.density_bias": dict(type=float),
-    "trainer.enc_pos_levels": dict(type=int),
-    "trainer.enc_dir_levels": dict(type=int),
-    "trainer.deform_enabled": dict(type=_parse_bool),
-    "trainer.log_interval": dict(type=int),
-    "run.seed": dict(type=int, help="generation seed", alias="--seed"),
-    "run.n_tx": dict(type=int, help="transmitter count to synthesize", alias="--n-tx"),
-    "run.split_seed": dict(type=int, help="train/test shuffle seed", alias="--split-seed"),
+                                  alias="--res", on=("synth",)),
+    "run.seed": dict(type=int, help="generation seed", alias="--seed", on=("synth",),
+                     default=0),
+    "run.n_tx": dict(type=int, help="transmitter count to synthesize", alias="--n-tx",
+                     on=("synth",), required=True),
+    "run.split_seed": dict(type=int, help="train/test shuffle seed", alias="--split-seed",
+                           on=("train", "eval"), default=0),
     "run.train_fraction": dict(type=float, help="fraction of records used for training",
-                               alias="--train-fraction"),
+                               alias="--train-fraction", on=("train", "eval"), default=0.8),
     "run.profile": dict(type=str, help="trainer profile: desk or paper",
-                        alias="--profile"),
+                        alias="--profile", on=("train",), default="desk"),
     "run.tau": dict(type=float, help="empty-space skip threshold at inference",
-                    alias="--tau"),
+                    alias="--tau", on=("infer", "eval"), default=1e-4),
     "run.tx": dict(type=float, nargs=3, help="transmitter position to infer",
-                   alias="--tx"),
+                   alias="--tx", on=("infer",), required=True),
     "run.rssi": dict(action="store_true", help="also evaluate RSSI predictions",
-                     alias="--rssi"),
-    "paths.data": dict(type=str, help="dataset directory", alias="--data"),
-    "paths.out": dict(type=str, help="output path", alias="--out"),
-    "paths.log": dict(type=str, help="training log CSV path", alias="--log"),
-    "paths.checkpoint": dict(type=str, help="model checkpoint path", alias="--checkpoint"),
+                     alias="--rssi", on=("eval",), default=False),
+    "paths.data": dict(type=str, help="dataset directory", alias="--data",
+                       on=("train", "eval"), required=True),
+    "paths.out": dict(type=str, help="output path", alias="--out",
+                      on=("synth", "train", "infer", "eval"), required=True),
+    "paths.log": dict(type=str, help="training log CSV path", alias="--log",
+                      on=("train",)),
+    "paths.checkpoint": dict(type=str, help="model checkpoint path", alias="--checkpoint",
+                             on=("infer", "eval"), required=True),
 }
+_NOT_PARSER_KWARGS = ("alias", "on", "required", "default")
 
-_COMMAND_KEYS = {
-    "synth": ["scene.name", "scene.tx_modulation", "scene.rssi_noise_db",
-              "scene.fine_step", "geometry.spectrum_res", "run.seed", "run.n_tx",
-              "paths.out"],
-    "train": [k for k in _SCHEMA if k.startswith("trainer.")]
-    + ["run.profile", "run.split_seed", "run.train_fraction", "paths.data",
-       "paths.out", "paths.log"],
-    "infer": ["paths.checkpoint", "run.tx", "run.tau", "paths.out"],
-    "eval": ["paths.checkpoint", "paths.data", "run.split_seed", "run.train_fraction",
-             "run.tau", "run.rssi", "paths.out"],
-}
 
-_REQUIRED = {
-    "synth": ["run.n_tx", "paths.out"],
-    "train": ["paths.data", "paths.out"],
-    "infer": ["paths.checkpoint", "run.tx", "paths.out"],
-    "eval": ["paths.checkpoint", "paths.data", "paths.out"],
-}
+def _field_flag(default) -> dict:
+    """Parser kwargs of a TrainConfig field's flag, from its default's type."""
+    if isinstance(default, bool):
+        return dict(type=_parse_bool)
+    if isinstance(default, tuple):
+        return dict(type=int, nargs=len(default))
+    if default is None:  # upsample_iters: a list of iterations
+        return dict(type=int, nargs="*")
+    return dict(type=type(default))
 
-_DEFAULTS = {
-    "scene.name": "demo",
-    "run.seed": 0,
-    "run.split_seed": 0,
-    "run.train_fraction": 0.8,
-    "run.profile": "desk",
-    "run.tau": 1e-4,
-    "run.rssi": False,
-}
+
+_SCHEMA.update({f"trainer.{f.name}": dict(_field_flag(f.default), on=("train",))
+                for f in dataclasses.fields(TrainConfig)})
 
 
 # per flag parser type: the JSON type(s) a config-file value may take
@@ -174,25 +156,24 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(ns: argparse.Namespace, command: str) -> dict:
     """Merge defaults, config file, and flags; report all missing keys at once."""
-    cfg = dict(_DEFAULTS)
+    cfg = {key: spec["default"] for key, spec in _SCHEMA.items() if "default" in spec}
     if getattr(ns, "config", None):
         cfg.update(_load_config_file(ns.config))
-    for key in _COMMAND_KEYS[command]:
+    for key in _SCHEMA:
         val = vars(ns).get(key, _UNSET)
         if val is not _UNSET and val is not None:
             cfg[key] = val
-    missing = sorted(k for k in _REQUIRED[command] if cfg.get(k) is None)
+    missing = sorted(key for key, spec in _SCHEMA.items()
+                     if spec.get("required") and command in spec["on"]
+                     and cfg.get(key) is None)
     if missing:
         raise ConfigError(f"missing required options: {', '.join(missing)}")
     return cfg
 
 
 def builtin_scene(name: str, tx_modulation: float | None = None):
-    """Built-in desk-scale scenes, or a scene JSON file, plus matching geometry.
-
-    A scene file that is not a UTF-8 JSON object with every field well formed
-    raises FormatError.
-    """
+    """Built-in desk-scale scenes, or a scene JSON file (`load_scene_file`),
+    plus matching geometry."""
     if name in ("demo", "demo-static"):
         box = Aabb(np.zeros(3), np.full(3, 3.5))
         rx = np.array([1.75, 1.75, 1.4])
@@ -200,34 +181,13 @@ def builtin_scene(name: str, tx_modulation: float | None = None):
                  Blob([0.93, 2.52, 2.08], 0.31, 7.0, 0.6),
                  Blob([2.71, 1.13, 1.96], 0.29, 8.0, 0.7)]
         mod = 0.0 if name == "demo-static" else 0.5
-        if tx_modulation is not None:
-            mod = tx_modulation
-        scene = SyntheticScene(bbox=box, rx_position=rx, blobs=blobs,
-                               tx_modulation=mod)
-        geometry = SceneGeometry(rx_position=rx, bbox=box, spectrum_res=(36, 9))
-        return scene, geometry
-    path = Path(name)
-    if not path.exists():
+        scene = SyntheticScene(bbox=box, rx_position=rx, blobs=blobs, tx_modulation=mod)
+        geometry = SceneGeometry(rx_position=rx, bbox=box,
+                                 spectrum_res=DEFAULT_SPECTRUM_RES)
+    elif Path(name).exists():
+        scene, geometry = load_scene_file(name)
+    else:
         raise ConfigError(f"unknown scene {name!r} (builtins: demo, demo-static)")
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: scene file must hold a JSON object")
-    try:
-        box = Aabb(np.array(doc["bbox"]["min_corner"], dtype=np.float64),
-                   np.array(doc["bbox"]["max_corner"], dtype=np.float64))
-        scene = SyntheticScene(
-            bbox=box, rx_position=np.array(doc["rx_position"], dtype=np.float64),
-            blobs=[Blob(b["center"], b["radius"], b["peak_density"], b["emission"])
-                   for b in doc["blobs"]],
-            tx_modulation=doc.get("tx_modulation", 0.0))
-        geometry = SceneGeometry(rx_position=scene.rx_position, bbox=box,
-                                 spectrum_res=tuple(doc.get("spectrum_res", (36, 9))))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"{path}: missing or malformed field "
-                          f"({type(e).__name__}: {e})") from e
     if tx_modulation is not None:
         scene = dataclasses.replace(scene, tx_modulation=tx_modulation)
     return scene, geometry
@@ -262,7 +222,7 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    profile = cfg.get("run.profile", "desk")
+    profile = cfg.get("run.profile", _SCHEMA["run.profile"]["default"])
     if profile not in ("desk", "paper"):
         raise ConfigError(f"unknown profile {profile!r}")
     overrides = {}
@@ -296,7 +256,7 @@ def cmd_train(cfg: dict) -> int:
     save_checkpoint(cfg["paths.out"], result.model, extra={
         "seed": config.seed,
         "iteration": config.total_iters,
-        "profile": cfg.get("run.profile", "desk"),
+        "profile": cfg["run.profile"],
         "split_seed": int(cfg["run.split_seed"]),
         "train_fraction": float(cfg["run.train_fraction"]),
         "rx_position": list(geo.rx_position),
@@ -406,15 +366,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON config file")
-        for key in _COMMAND_KEYS[command]:
-            spec = dict(_SCHEMA[key])
-            alias = spec.pop("alias", None)
-            flags = [f"--{key}"] + ([alias] if alias else [])
-            if spec.get("action") == "store_true":
-                p.add_argument(*flags, dest=key, action="store_true", default=_UNSET,
-                               help=spec.get("help"))
-            else:
-                p.add_argument(*flags, dest=key, default=_UNSET, **spec)
+        for key, spec in _SCHEMA.items():
+            if command in spec["on"]:
+                flags = [f"--{key}"] + ([spec["alias"]] if "alias" in spec else [])
+                kwargs = {k: v for k, v in spec.items() if k not in _NOT_PARSER_KWARGS}
+                p.add_argument(*flags, dest=key, default=_UNSET, **kwargs)
     return parser
 
 

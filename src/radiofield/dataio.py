@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,7 @@ SPECTRUM_VERSION = 1
 CHECKPOINT_MAGIC = b"VXCK"
 CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+DEFAULT_SPECTRUM_RES = (36, 9)  # of the built-in scenes and scene files without one
 
 
 class FormatError(ValueError):
@@ -75,7 +77,7 @@ def read_spectrum(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# synthetic scenes and the reference renderer
+# synthetic scenes, scene files and the reference renderer
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -205,6 +207,53 @@ def oracle_render(scene: SyntheticScene, geometry: SceneGeometry, tx: np.ndarray
     return out.reshape(res)
 
 
+def _read_json(path):
+    """A UTF-8 JSON document; FormatError if it is not one."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FormatError(f"{path}: not valid JSON: {e}") from e
+
+
+@contextmanager
+def _fields_of(path):
+    """Report a missing or malformed field read inside the block as a
+    FormatError naming path."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{path}: missing or malformed field "
+                          f"({type(e).__name__}: {e})") from e
+
+
+def _scene_geometry(doc: dict) -> SceneGeometry:
+    """Geometry from the layout that a manifest's scene section and a scene
+    file share: rx_position, bbox {min_corner, max_corner}, spectrum_res."""
+    return SceneGeometry(
+        rx_position=np.array(doc["rx_position"], dtype=np.float64),
+        bbox=Aabb(np.array(doc["bbox"]["min_corner"], dtype=np.float64),
+                  np.array(doc["bbox"]["max_corner"], dtype=np.float64)),
+        spectrum_res=tuple(doc["spectrum_res"]))
+
+
+def load_scene_file(path):
+    """Synthetic scene and geometry of a scene JSON file (layout in the
+    README); FormatError unless it is a well-formed UTF-8 JSON object."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: scene file must hold a JSON object")
+    with _fields_of(path):
+        geometry = _scene_geometry({"spectrum_res": DEFAULT_SPECTRUM_RES, **doc})
+        scene = SyntheticScene(
+            bbox=geometry.bbox, rx_position=geometry.rx_position,
+            blobs=[Blob(b["center"], b["radius"], b["peak_density"], b["emission"])
+                   for b in doc["blobs"]],
+            tx_modulation=doc.get("tx_modulation", 0.0))
+    return scene, geometry
+
+
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------
@@ -267,24 +316,14 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     manifest = path / MANIFEST_NAME if path.is_dir() else path
     base = manifest.parent
-    with open(manifest, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{manifest}: not valid JSON: {e}") from e
+    doc = _read_json(manifest)
     if not isinstance(doc, dict) or doc.get("format") != "radiofield-dataset":
         raise FormatError(f"{manifest}: not a dataset manifest")
-    try:
+    with _fields_of(manifest):
         scene = doc["scene"]
         normalization = float(scene["normalization"])
         units = scene.get("units", "linear")
-        geometry = SceneGeometry(
-            rx_position=np.array(scene["rx_position"], dtype=np.float64),
-            bbox=Aabb(np.array(scene["bbox"]["min_corner"], dtype=np.float64),
-                      np.array(scene["bbox"]["max_corner"], dtype=np.float64)),
-            spectrum_res=tuple(scene["spectrum_res"]),
-        )
+        geometry = _scene_geometry(scene)
         records = []
         for rec in doc["records"]:
             records.append(DatasetRecord(
@@ -292,9 +331,6 @@ def load_dataset(path) -> Dataset:
                 spectrum_path=rec["spectrum_path"],
                 rssi_dbm=rec.get("rssi_dbm"),
             ))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"{manifest}: missing or malformed field "
-                          f"({type(e).__name__}: {e})") from e
     if not (math.isfinite(normalization) and normalization > 0):
         raise FormatError(f"{manifest}: normalization must be positive and finite")
     if not isinstance(units, str):

@@ -2,29 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class SsimConfig:
-    """Standard SSIM settings: 11x11 Gaussian window (std 1.5), stabilizers
-    C1 = (0.01 r)^2 and C2 = (0.03 r)^2 for data range r, symmetric padding."""
-
-    window_size: int = 11
-    window_sigma: float = 1.5
-    data_range: float = 1.0
-    k1: float = 0.01
-    k2: float = 0.03
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.data_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.data_range) ** 2
+# Standard SSIM settings: 11x11 Gaussian window (std 1.5), stabilizers
+# C1 = (0.01 r)^2 and C2 = (0.03 r)^2 for the data range r = 1 of normalized
+# spectra, symmetric padding.
+SSIM_WINDOW_SIZE = 11
+SSIM_WINDOW_SIGMA = 1.5
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
 def gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -49,21 +35,20 @@ def _filter_symmetric(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def ssim(a: np.ndarray, b: np.ndarray, cfg: SsimConfig | None = None) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity between two equally sized spectra."""
-    cfg = cfg or SsimConfig()
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError(f"spectra must share a 2-D shape, got {x.shape} vs {y.shape}")
-    taps = gaussian_window(cfg.window_size, cfg.window_sigma)
+    taps = gaussian_window(SSIM_WINDOW_SIZE, SSIM_WINDOW_SIGMA)
     mu_x = _filter_symmetric(x, taps)
     mu_y = _filter_symmetric(y, taps)
     var_x = _filter_symmetric(x * x, taps) - mu_x * mu_x
     var_y = _filter_symmetric(y * y, taps) - mu_y * mu_y
     cov = _filter_symmetric(x * y, taps) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + cfg.c1) * (2.0 * cov + cfg.c2)
-    den = (mu_x * mu_x + mu_y * mu_y + cfg.c1) * (var_x + var_y + cfg.c2)
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
     return float(np.mean(num / den))
 
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_BG_WEIGHT = 1e-4
-
 # Transmittance clamp: avoids log(0); clamped rays get zero entropy gradient.
 _ENTROPY_EPS = 1e-6
 
@@ -72,8 +70,7 @@ def background_entropy(final_transmittance: np.ndarray):
     return loss, grad
 
 
-def total_loss(spectrum_loss: float, bg_loss: float,
-               bg_weight: float = DEFAULT_BG_WEIGHT) -> float:
+def total_loss(spectrum_loss: float, bg_loss: float, bg_weight: float) -> float:
     """Weighted sum of the two objectives."""
     if bg_weight < 0:
         raise ValueError("bg_weight must be nonnegative")

@@ -31,7 +31,7 @@ from .field_model import (
     signal_forward,
     softplus,
 )
-from .voxel_grid import Aabb
+from .voxel_grid import Aabb, voxel_edge
 
 
 @dataclass
@@ -97,9 +97,8 @@ def clip_rays(origin: np.ndarray, directions: np.ndarray, bbox: Aabb) -> np.ndar
 
 
 def default_step(bbox: Aabb, dims) -> float:
-    """Quarter of the smallest voxel edge: extent / (dims - 1) per axis."""
-    edges = bbox.extent / (np.asarray(dims, dtype=np.float64) - 1.0)
-    return float(edges.min()) / 4.0
+    """Quarter of the smallest voxel edge (`voxel_edge`)."""
+    return voxel_edge(bbox, dims) / 4.0
 
 
 def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
@@ -178,7 +177,10 @@ def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarr
     """
     excl = segment_prefix(optical, ray_of, n_rays) - optical
     w = np.exp(-excl) * -np.expm1(-optical)
-    r_out = np.bincount(ray_of, weights=w * signal, minlength=n_rays)
+    # bincount of no weights is integer-typed: a pass that keeps no sample
+    # still returns float R
+    r_out = np.bincount(ray_of, weights=w * signal, minlength=n_rays).astype(
+        np.float64, copy=False)
     t_out = np.exp(-np.bincount(ray_of, weights=optical, minlength=n_rays))
     return r_out, t_out, excl, w
 
@@ -212,10 +214,11 @@ class SampleTable:
 
     All rays are clipped and sampled in one `sample_rays` pass; ray b owns
     rows offsets[b]..offsets[b+1]. The step defaults to `default_step` of the
-    model's grid, and directions to every spectrum direction. The table
-    depends only on the geometry, the grid dims and box, and the step, so one
-    table serves every transmitter and every parameter update until the grids
-    are resampled.
+    model's grid, and directions to every spectrum direction. The samples
+    depend only on the geometry and the step, their support also on the grid
+    dims and box, so one table serves every transmitter and every parameter
+    update, and after the grids are resampled `resupport` renews the support
+    alone.
     enc_x holds per-sample position encodings when the table's owner caches
     them; it is None otherwise, and `forward_segments` encodes the kept
     samples of each call.
@@ -231,10 +234,15 @@ class SampleTable:
         self.emission_enc = positional_encode(-dirs, model.enc_dir)
         self.positions, self.spacings, self.offsets = sample_rays(geometry, dirs, step)
         self.counts = np.diff(self.offsets)
+        self.enc_x = None
+        self.resupport(model)
+
+    def resupport(self, model: FieldModel) -> None:
+        """Derive the samples' trilinear support in the model's grids, keeping
+        the samples (and so the step)."""
         # looked up on voxel_grid at call time, where profilers hook the layer
         self.idx, self.weights = voxel_grid.interp_support(
             model.density_grid.dims, model.bbox, self.positions)
-        self.enc_x = None
 
 
 @dataclass
@@ -390,12 +398,11 @@ def _render_table(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
 
 
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-              direction: np.ndarray, step: float | None = None,
-              tau: float = 0.0) -> RayTrace:
+              direction: np.ndarray, tau: float = 0.0) -> RayTrace:
     """Render one ray keeping all intermediates (for tests and diagnostics):
-    `forward_segments` over a one-direction table."""
+    `forward_segments` over a one-direction table at the grid's default step."""
     direction = np.asarray(direction, dtype=np.float64)
-    table, r_out, t_out, trace = _render_table(model, geometry, tx, step, tau,
+    table, r_out, t_out, trace = _render_table(model, geometry, tx, None, tau,
                                                direction)
     signal = np.zeros(len(table.spacings))
     signal[trace.kept] = trace.signal_kept

@@ -1,12 +1,12 @@
 """Training loop: Adam, exponential LR decay, progressive grids, calibration.
 
 Batches are rendered and differentiated by the renderer's ray engine. Ray
-geometry is fixed per resolution stage (receiver, box, direction set, and
-step size do not change between upsample events), so each stage builds one
-sample table over every spectrum direction, which also caches every sample's
-position encoding; each iteration renders its (transmitter, direction-cell)
-rays from that table with `forward_segments` and backpropagates with
-`backward_segments`.
+geometry is fixed for a whole run (receiver, box, direction set, and step
+size do not change at upsample events), so a run builds one sample table over
+every spectrum direction, which also caches every sample's position encoding,
+and an upsample event renews only the table's trilinear support; each
+iteration renders its (transmitter, direction-cell) rays from that table with
+`forward_segments` and backpropagates with `backward_segments`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .renderer import (
     forward_segments,
     render_spectrum,
 )
-from .voxel_grid import upsample
+from .voxel_grid import upsample, voxel_edge
 
 GRID_PARAM_NAMES = ("density_grid", "feature_grid")
 
@@ -218,17 +218,16 @@ def near_receiver_radius(geometry: SceneGeometry, final_dims) -> float:
 
     Each of the n_directions cells covers 2 pi / n_directions steradians of
     the hemisphere, so at distance r neighbouring rays sit about
-    r * sqrt(2 pi / n_directions) apart; the edge is the smallest of the final
-    grid's per-axis voxel edges.
+    r * sqrt(2 pi / n_directions) apart; the edge is the final grid's
+    `voxel_edge`.
     """
-    edge = float((geometry.bbox.extent / (np.asarray(final_dims, dtype=np.float64)
-                                          - 1.0)).min())
+    edge = voxel_edge(geometry.bbox, final_dims)
     return edge * math.sqrt(geometry.n_directions / (2.0 * math.pi))
 
 
 class _StageCache(SampleTable):
-    """The sample table of a resolution stage, over every spectrum direction;
-    valid while the grid resolution is unchanged.
+    """The sample table of a training run, over every spectrum direction;
+    `resupport` it after the grids are resampled.
 
     Every iteration gathers its batch from this table, so it also caches
     every sample's position encoding. With grad_radius r0 given, grad_scale
@@ -315,8 +314,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     # a quarter of the final voxel edge in every stage, so upsample events
     # change only the representation, not the quadrature
     step = default_step(geometry.bbox, config.final_dims)
-    grad_radius = near_receiver_radius(geometry, config.final_dims)
-    cache = _StageCache(geometry, model, step, grad_radius)
+    cache = _StageCache(geometry, model, step,
+                        near_receiver_radius(geometry, config.final_dims))
     grads = GradientSet.zeros_like(model)
     upsample_at = {it: s + 1 for s, it in enumerate(config.upsample_iters)}
 
@@ -334,7 +333,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
             grid_params, mlp_params = _split_params(model)
             adam_grid = AdamState.for_params(grid_params)
             grads = GradientSet.zeros_like(model)
-            cache = _StageCache(geometry, model, step, grad_radius)
+            cache.resupport(model)
             after = (_eval_loss(model, cache, config, *eval_rays)
                      if eval_rays is not None else None)
             events.append({"iteration": it, "stage": stage, "dims": new_dims,

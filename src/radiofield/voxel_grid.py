@@ -88,6 +88,12 @@ class VoxelGrid:
         return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
 
 
+def voxel_edge(bbox: Aabb, dims) -> float:
+    """Smallest node spacing of a dims lattice spanning bbox: the minimum over
+    axes of extent / (dims - 1)."""
+    return float((bbox.extent / (np.asarray(dims, dtype=np.float64) - 1.0)).min())
+
+
 def init_grid(dims, channels: int, bbox: Aabb, fill: float = 0.0) -> VoxelGrid:
     """Allocate a grid with every node value set to `fill`."""
     dims = tuple(int(d) for d in dims)

@@ -1,5 +1,6 @@
 """CLI wiring: commands, config merging, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radiofield import cli
 from radiofield.cli import (
     _SCHEMA,
     _load_config_file,
@@ -181,10 +183,110 @@ class TestMalformedInput:
         assert config.lr_grid == 1
 
 
+_TRAINER_FLAGS = {  # field -> (parser type, nargs)
+    "final_dims": ("int", 3), "feature_dim": ("int", None), "mlp_width": ("int", None),
+    "stages": ("int", None), "upsample_iters": ("int", "*"),
+    "total_iters": ("int", None), "batch_rays": ("int", None),
+    "lr_grid": ("float", None), "lr_mlp": ("float", None),
+    "lr_decay_target_fraction": ("float", None), "tau": ("float", None),
+    "bg_weight": ("float", None), "seed": ("int", None),
+    "density_bias": ("float", None), "enc_pos_levels": ("int", None),
+    "enc_dir_levels": ("int", None), "deform_enabled": ("_parse_bool", None),
+    "log_interval": ("int", None)}
+
+_FLAGS = {  # dotted key -> (flags, parser type, nargs, help)
+    "scene.name": (("--scene.name", "--scene"), "str", None,
+                   "builtin scene (demo, demo-static) or scene JSON path"),
+    "scene.tx_modulation": (("--scene.tx_modulation", "--tx-modulation"), "float", None,
+                            "override transmitter modulation strength"),
+    "scene.rssi_noise_db": (("--scene.rssi_noise_db", "--rssi-noise-db"), "float", None,
+                            "attach ground-truth RSSI with this noise"),
+    "scene.fine_step": (("--scene.fine_step", "--fine-step"), "float", None,
+                        "oracle quadrature step in meters"),
+    "geometry.spectrum_res": (("--geometry.spectrum_res", "--res"), "int", 2,
+                              "azimuth x elevation cells"),
+    "run.seed": (("--run.seed", "--seed"), "int", None, "generation seed"),
+    "run.n_tx": (("--run.n_tx", "--n-tx"), "int", None,
+                 "transmitter count to synthesize"),
+    "run.split_seed": (("--run.split_seed", "--split-seed"), "int", None,
+                       "train/test shuffle seed"),
+    "run.train_fraction": (("--run.train_fraction", "--train-fraction"), "float", None,
+                           "fraction of records used for training"),
+    "run.profile": (("--run.profile", "--profile"), "str", None,
+                    "trainer profile: desk or paper"),
+    "run.tau": (("--run.tau", "--tau"), "float", None,
+                "empty-space skip threshold at inference"),
+    "run.tx": (("--run.tx", "--tx"), "float", 3, "transmitter position to infer"),
+    "run.rssi": (("--run.rssi", "--rssi"), None, 0, "also evaluate RSSI predictions"),
+    "paths.data": (("--paths.data", "--data"), "str", None, "dataset directory"),
+    "paths.out": (("--paths.out", "--out"), "str", None, "output path"),
+    "paths.log": (("--paths.log", "--log"), "str", None, "training log CSV path"),
+    "paths.checkpoint": (("--paths.checkpoint", "--checkpoint"), "str", None,
+                         "model checkpoint path"),
+    **{f"trainer.{k}": ((f"--trainer.{k}",), t, n, None)
+       for k, (t, n) in _TRAINER_FLAGS.items()},
+}
+
+_COMMANDS = {  # command -> (keys it takes, keys it requires)
+    "synth": (["scene.name", "scene.tx_modulation", "scene.rssi_noise_db",
+               "scene.fine_step", "geometry.spectrum_res", "run.seed", "run.n_tx",
+               "paths.out"], ["paths.out", "run.n_tx"]),
+    "train": ([f"trainer.{k}" for k in _TRAINER_FLAGS]
+              + ["run.profile", "run.split_seed", "run.train_fraction", "paths.data",
+                 "paths.out", "paths.log"], ["paths.data", "paths.out"]),
+    "infer": (["paths.checkpoint", "run.tx", "run.tau", "paths.out"],
+              ["paths.checkpoint", "paths.out", "run.tx"]),
+    "eval": (["paths.checkpoint", "paths.data", "run.split_seed", "run.train_fraction",
+              "run.tau", "run.rssi", "paths.out"],
+             ["paths.checkpoint", "paths.data", "paths.out"]),
+}
+
+# what every command resolves a key to when neither a file nor a flag sets it
+_RESOLVED_DEFAULTS = {"scene.name": "demo", "run.seed": 0, "run.split_seed": 0,
+                      "run.train_fraction": 0.8, "run.profile": "desk",
+                      "run.tau": 1e-4, "run.rssi": False}
+
+_REQUIRED_ARGS = {"run.n_tx": ["3"], "paths.out": ["o"], "paths.data": ["d"],
+                  "paths.checkpoint": ["c"], "run.tx": ["1", "2", "3"]}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestSchema:
     def test_trainer_keys_are_train_config_fields(self):
         keys = {k.split(".", 1)[1] for k in _SCHEMA if k.startswith("trainer.")}
         assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_flags_snapshot(self, command):
+        """Each command's flags, aliases, parser types, nargs and help."""
+        sub = _subparsers()[command]
+        got = {a.dest: (tuple(a.option_strings), getattr(a.type, "__name__", a.type),
+                        a.nargs, a.help)
+               for a in sub._actions if a.dest not in ("help", "config")}
+        assert got == {key: _FLAGS[key] for key in _COMMANDS[command][0]}
+        assert all(a.default is cli._UNSET for a in sub._actions
+                   if a.dest not in ("help", "config"))
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_resolved_defaults(self, command):
+        required = _COMMANDS[command][1]
+        argv = [command] + [w for key in required
+                            for w in [_FLAGS[key][0][0], *_REQUIRED_ARGS[key]]]
+        ns = cli._build_parser().parse_args(argv)
+        given = {key: vars(ns)[key] for key in required}
+        assert cli._resolve(ns, command) == {**_RESOLVED_DEFAULTS, **given}
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_required_keys(self, command, capsys):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == (
+            "config error: missing required options: "
+            f"{', '.join(_COMMANDS[command][1])}\n")
 
 
 @pytest.fixture(scope="module")

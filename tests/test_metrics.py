@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radiofield.metrics import (
-    SsimConfig,
     cdf_table,
     gaussian_window,
     percentile_summary,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from radiofield.objectives import (
-    DEFAULT_BG_WEIGHT,
     LossReport,
     background_entropy,
     spectrum_mse,
     total_loss,
 )
+from radiofield.trainer import TrainConfig
 
 
 class TestSpectrumMse:
@@ -106,7 +106,7 @@ class TestTotalLoss:
         assert total_loss(0.01, 0.7, 1e-4) == pytest.approx(0.01007, abs=1e-15)
 
     def test_default_weight_value(self):
-        assert DEFAULT_BG_WEIGHT == 1e-4
+        assert TrainConfig().bg_weight == 1e-4
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -343,6 +343,14 @@ class TestRenderSpectrum:
         assert spec.shape == (8, 4)
         assert np.all(spec == 0.0)
 
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_spectrum_is_float_when_every_sample_is_skipped(self, tau):
+        # at tau 1e-4 the pass keeps no sample, so compositing sums no weights
+        m = smooth_model()
+        m.density_grid.values[:] = -1000.0
+        spec = render_spectrum(m, demo_geometry(), np.zeros(3), tau=tau)
+        assert spec.dtype == np.float64
+
     def test_deterministic_renders(self):
         m = smooth_model(seed=12)
         geo = demo_geometry()

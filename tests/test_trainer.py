@@ -276,6 +276,33 @@ class TestTrainLoop:
             assert abs(e["loss_after"] - e["loss_before"]) / e["loss_before"] < 0.6
         assert result.model.density_grid.dims == (12, 12, 12)
 
+    def test_resupported_table_equals_fresh_table(self, tmp_path):
+        ds = small_dataset(tmp_path, n_tx=2, res=(8, 3))
+        model = init_field_model(ds.geometry.bbox, (6, 7, 8), 4, 16, seed=5)
+        step = default_step(ds.geometry.bbox, (12, 12, 12))
+        cache = _StageCache(ds.geometry, model, step, grad_radius=0.5)
+        model.density_grid = voxel_grid.upsample(model.density_grid, (9, 10, 12))
+        model.feature_grid = voxel_grid.upsample(model.feature_grid, (9, 10, 12))
+        cache.resupport(model)
+        fresh = _StageCache(ds.geometry, model, step, grad_radius=0.5)
+        assert vars(cache).keys() == vars(fresh).keys()
+        for name, value in vars(fresh).items():
+            assert np.array_equal(getattr(cache, name), value), name
+        assert cache.idx.max() >= 6 * 7 * 8  # the support indexes the new grid
+
+    def test_train_builds_one_table(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return _StageCache(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_StageCache", counting)
+        result = train(ds, smoke_config(final_dims=(10, 10, 10), stages=2,
+                                        upsample_iters=(2, 4), total_iters=6))
+        assert len(result.upsample_events) == 2 and len(built) == 1
+
     def test_nan_targets_abort_with_iteration(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))
         spectra = ds.load_spectra()
