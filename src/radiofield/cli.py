@@ -24,6 +24,7 @@ from .dataio import (
     FormatError,
     SyntheticScene,
     generate_dataset,
+    geometry_from_checkpoint,
     load_checkpoint,
     load_dataset,
     load_scene_file,
@@ -273,23 +274,9 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _geometry_from_checkpoint(meta: dict) -> SceneGeometry:
-    extra = meta.get("extra", {})
-    if not isinstance(extra, dict) or not {"rx_position", "spectrum_res"} <= extra.keys():
-        raise FormatError("checkpoint lacks scene geometry metadata")
-    try:
-        return SceneGeometry(rx_position=np.array(extra["rx_position"], dtype=np.float64),
-                             bbox=Aabb(np.array(meta["bbox_min"]),
-                                       np.array(meta["bbox_max"])),
-                             spectrum_res=tuple(extra["spectrum_res"]))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"checkpoint has malformed scene geometry metadata "
-                          f"({type(e).__name__}: {e})") from e
-
-
 def cmd_infer(cfg: dict) -> int:
     model, meta = load_checkpoint(cfg["paths.checkpoint"])
-    geometry = _geometry_from_checkpoint(meta)
+    geometry = geometry_from_checkpoint(cfg["paths.checkpoint"], meta)
     tx = np.array(cfg["run.tx"], dtype=np.float64)
     t0 = time.perf_counter()
     spectrum = render_spectrum(model, geometry, tx, tau=float(cfg["run.tau"]))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_model import FieldModel, Mlp, PositionalEncodingConfig
+from .field_model import FieldModel, Mlp
 from .renderer import SceneGeometry, all_directions
 from .voxel_grid import Aabb, VoxelGrid
 
@@ -28,6 +28,11 @@ CHECKPOINT_MAGIC = b"VXCK"
 CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SPECTRUM_RES = (36, 9)  # of the built-in scenes and scene files without one
+# the nets' fixed activations (field_model.Mlp), as checkpoint metadata records them
+NET_ACTIVATIONS = {"deform_hidden_activation": "relu",
+                   "deform_output_activation": "identity",
+                   "radiance_hidden_activation": "relu",
+                   "radiance_output_activation": "sigmoid"}
 
 
 class FormatError(ValueError):
@@ -376,6 +381,11 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
         raise ValueError("need at least one transmitter position")
     if fine_step is None:
         fine_step = float(geometry.bbox.extent.min()) / 512.0
+    if not 0 < fine_step < math.inf:
+        raise ValueError(f"fine_step must be positive and finite, got {fine_step}")
+    if rssi_noise_db is not None and not 0 <= rssi_noise_db < math.inf:
+        raise ValueError(f"rssi_noise_db must be finite and nonnegative, "
+                         f"got {rssi_noise_db}")
     rng = np.random.default_rng(seed)
     tx_positions = rng.uniform(geometry.bbox.min_corner, geometry.bbox.max_corner,
                                size=(n_tx, 3))
@@ -422,13 +432,10 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
         "bbox_min": list(model.bbox.min_corner),
         "bbox_max": list(model.bbox.max_corner),
         "density_bias": model.density_bias,
-        "enc_pos_levels": model.enc_pos.levels,
-        "enc_dir_levels": model.enc_dir.levels,
+        "enc_pos_levels": model.enc_pos_levels,
+        "enc_dir_levels": model.enc_dir_levels,
         "deform_enabled": model.deform_enabled,
-        "deform_hidden_activation": model.deform_net.hidden_activation,
-        "deform_output_activation": model.deform_net.output_activation,
-        "radiance_hidden_activation": model.radiance_net.hidden_activation,
-        "radiance_output_activation": model.radiance_net.output_activation,
+        **NET_ACTIVATIONS,
     }
     if extra:
         meta["extra"] = extra
@@ -510,15 +517,12 @@ def load_checkpoint(path):
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes at byte offset {off}")
 
-    try:
+    with _fields_of(path):
         dims = tuple(meta["grid_dims"])
         feature_dim = int(meta["feature_dim"])
         bbox = Aabb(np.array(meta["bbox_min"], dtype=np.float64),
                     np.array(meta["bbox_max"], dtype=np.float64))
         density_bias = float(meta["density_bias"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"{path}: missing or malformed metadata "
-                          f"({type(e).__name__}: {e})") from e
     if len(dims) != 3 or not all(type(d) is int for d in dims):
         raise FormatError(f"{path}: grid_dims must be three integers, got {list(dims)}")
     if not (np.all(np.isfinite(bbox.extent)) and math.isfinite(density_bias)):
@@ -532,7 +536,7 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: tensor {name!r} has shape "
                               f"{tensors[name].shape}, expected {want}")
 
-    def build_mlp(tag, hidden_act, output_act):
+    def build_mlp(tag):
         weights, biases = [], []
         i = 0
         while f"{tag}.w{i}" in tensors:
@@ -540,30 +544,31 @@ def load_checkpoint(path):
             biases.append(tensors[f"{tag}.b{i}"])
             i += 1
         if not weights:
-            raise FormatError(f"{path}: no layers found for network {tag!r}")
-        return Mlp(weights=weights, biases=biases, hidden_activation=hidden_act,
-                   output_activation=output_act)
+            raise ValueError(f"no layers found for network {tag!r}")
+        return Mlp(weights=weights, biases=biases)
 
-    try:
+    with _fields_of(path):
+        for key, act in NET_ACTIVATIONS.items():
+            if meta[key] != act:
+                raise ValueError(f"{key} is {meta[key]!r}; the nets have {act!r}")
         model = FieldModel(
             density_grid=VoxelGrid(dims=dims, channels=1, bbox=bbox,
                                    values=tensors["density_grid"]),
             feature_grid=VoxelGrid(dims=dims, channels=feature_dim, bbox=bbox,
                                    values=tensors["feature_grid"]),
-            deform_net=build_mlp("deform", meta["deform_hidden_activation"],
-                                 meta["deform_output_activation"]),
-            radiance_net=build_mlp("radiance", meta["radiance_hidden_activation"],
-                                   meta["radiance_output_activation"]),
-            enc_pos=PositionalEncodingConfig(int(meta["enc_pos_levels"])),
-            enc_dir=PositionalEncodingConfig(int(meta["enc_dir_levels"])),
+            deform_net=build_mlp("deform"),
+            radiance_net=build_mlp("radiance"),
+            enc_pos_levels=int(meta["enc_pos_levels"]),
+            enc_dir_levels=int(meta["enc_dir_levels"]),
             density_bias=density_bias,
             deform_enabled=bool(meta["deform_enabled"]),
         )
-    except FormatError:
-        raise
-    except (KeyError, TypeError, OverflowError) as e:
-        raise FormatError(f"{path}: missing or malformed metadata "
-                          f"({type(e).__name__}: {e})") from e
-    except ValueError as e:
-        raise FormatError(f"{path}: inconsistent tensors or metadata: {e}") from e
     return model, meta
+
+
+def geometry_from_checkpoint(path, meta: dict) -> SceneGeometry:
+    """Scene geometry recorded in the metadata of the checkpoint at path: the
+    `extra` entries rx_position and spectrum_res, and the grids' box."""
+    with _fields_of(path):
+        return _scene_geometry({**meta.get("extra", {}), "bbox": {
+            "min_corner": meta["bbox_min"], "max_corner": meta["bbox_max"]}})

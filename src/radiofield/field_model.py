@@ -9,7 +9,7 @@ backward passes are explicit so gradients are exact and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +32,8 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, np.asarray(z, dtype=np.float64))
 
 
-@dataclass
-class PositionalEncodingConfig:
-    levels: int
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("encoding needs at least one level")
-
-    def width(self, input_width: int) -> int:
-        return 2 * self.levels * input_width
-
-
-def positional_encode(p: np.ndarray, cfg: PositionalEncodingConfig) -> np.ndarray:
-    """Sinusoidal encoding (sin(2^l pi p), cos(2^l pi p)) for l = 0..L-1.
+def positional_encode(p: np.ndarray, levels: int) -> np.ndarray:
+    """Sinusoidal encoding (sin(2^l pi p), cos(2^l pi p)) for l = 0..levels-1.
 
     Applied independently to each input component; the raw components are not
     passed through. A (D,) input yields (2*L*D,), an (N, D) batch (N, 2*L*D);
@@ -54,50 +42,28 @@ def positional_encode(p: np.ndarray, cfg: PositionalEncodingConfig) -> np.ndarra
     arr = np.asarray(p, dtype=np.float64)
     single = arr.ndim <= 1
     arr = np.atleast_2d(arr)
-    freqs = np.pi * (2.0 ** np.arange(cfg.levels))
+    freqs = np.pi * (2.0 ** np.arange(levels))
     ang = arr[:, :, None] * freqs  # (N, D, L)
     out = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(arr.shape[0], -1)
     return out[0] if single else out
 
 
-_ACTIVATIONS = ("relu", "identity", "sigmoid")
-
-
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    if name == "sigmoid":
-        return sigmoid(z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(name: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return z > 0.0  # a boolean mask multiplies as 1.0 / 0.0
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    raise ValueError(f"unknown activation {name!r}")
+def encoding_width(levels: int) -> int:
+    """Width of the encoding of a 3-vector at `levels` levels."""
+    return 2 * levels * 3
 
 
 @dataclass
 class Mlp:
-    """Fully connected layers; weights are (out, in), biases (out,)."""
+    """Fully connected layers; weights are (out, in), biases (out,). Every
+    layer but the last is followed by a ReLU; the last is linear."""
 
     weights: list
     biases: list
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up")
-        for act in (self.hidden_activation, self.output_activation):
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError(f"layer {i} weight/bias shapes inconsistent")
@@ -115,32 +81,31 @@ class Mlp:
         return self.weights[-1].shape[0]
 
 
-def mlp_init(layer_sizes, rng: np.random.Generator, hidden_activation: str = "relu",
-             output_activation: str = "identity") -> Mlp:
+def mlp_init(layer_sizes, rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases, drawn in layer order."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return Mlp(weights=weights, biases=biases, hidden_activation=hidden_activation,
-               output_activation=output_activation)
+    return Mlp(weights=weights, biases=biases)
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, want_cache: bool = False):
     """Evaluate the network on (N, in) rows; optionally keep the cache
-    (per-layer inputs, pre-activations and outputs) needed for backprop."""
+    (every layer's input) needed for backprop."""
     a = np.asarray(x, dtype=np.float64)
-    cache = []
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w.T + b
-        act = mlp.output_activation if i == last else mlp.hidden_activation
-        out = _activate(act, z)
-        if want_cache:
-            cache.append((a, z, out, act))
-        a = out
-    return (a, cache) if want_cache else a
+    inputs = [a]
+    # bias and ReLU in place on the fresh matmul output: the same values
+    # without two more (N, width) temporaries per layer
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
+        inputs.append(a)
+    out = a @ mlp.weights[-1].T
+    out += mlp.biases[-1]
+    return (out, inputs) if want_cache else out
 
 
 def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray, input_grad: bool = True):
@@ -154,12 +119,14 @@ def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray, input_grad: bool = True):
     grad_b = [None] * len(mlp.biases)
     delta = np.asarray(d_out, dtype=np.float64)
     for i in reversed(range(len(mlp.weights))):
-        a, z, out, act = cache[i]
-        delta = delta * _activate_grad(act, z, out)
+        a = cache[i]
         grad_w[i] = delta.T @ a
         grad_b[i] = delta.sum(axis=0)
-        delta = delta @ mlp.weights[i] if i or input_grad else None
-    return grad_w, grad_b, delta
+        if i:
+            # a is the output of the ReLU below, so a > 0 is that ReLU's
+            # mask (a boolean mask multiplies as 1.0 / 0.0)
+            delta = (delta @ mlp.weights[i]) * (a > 0.0)
+    return grad_w, grad_b, (delta @ mlp.weights[0] if input_grad else None)
 
 
 @dataclass
@@ -170,12 +137,14 @@ class FieldModel:
     feature_grid: VoxelGrid
     deform_net: Mlp
     radiance_net: Mlp
-    enc_pos: PositionalEncodingConfig
-    enc_dir: PositionalEncodingConfig
+    enc_pos_levels: int
+    enc_dir_levels: int
     density_bias: float = -3.0
     deform_enabled: bool = True
 
     def __post_init__(self):
+        if self.enc_pos_levels < 1 or self.enc_dir_levels < 1:
+            raise ValueError("encodings need at least one level")
         if self.density_grid.channels != 1:
             raise ValueError("density grid must have one channel")
         if (self.feature_grid.dims != self.density_grid.dims
@@ -185,8 +154,8 @@ class FieldModel:
                                       self.density_grid.bbox.max_corner)):
             raise ValueError("feature and density grids must share dims and box")
         f = self.feature_grid.channels
-        pos_w = self.enc_pos.width(3)
-        dir_w = self.enc_dir.width(3)
+        pos_w = encoding_width(self.enc_pos_levels)
+        dir_w = encoding_width(self.enc_dir_levels)
         if self.deform_net.input_width != 2 * pos_w:
             raise ValueError(f"deformation net expects input {2 * pos_w}, "
                              f"got {self.deform_net.input_width}")
@@ -245,6 +214,7 @@ class GradientSet:
         return self.buffers[name]
 
     def __setitem__(self, name: str, value: np.ndarray):
+        # `grads[name] += g` adds in place, then stores the same array back
         if name not in self.buffers:
             raise KeyError(name)
         self.buffers[name] = value
@@ -255,20 +225,17 @@ def init_field_model(bbox: Aabb, dims, feature_dim: int, hidden_width: int,
                      enc_pos_levels: int = 5, enc_dir_levels: int = 4) -> FieldModel:
     """Seeded construction: zero grids, Glorot MLPs, fixed draw order."""
     rng = np.random.default_rng(seed)
-    enc_pos = PositionalEncodingConfig(enc_pos_levels)
-    enc_dir = PositionalEncodingConfig(enc_dir_levels)
-    pos_w = enc_pos.width(3)
-    dir_w = enc_dir.width(3)
+    pos_w = encoding_width(enc_pos_levels)
+    dir_w = encoding_width(enc_dir_levels)
     deform = mlp_init([2 * pos_w, hidden_width, feature_dim], rng)
-    radiance = mlp_init([feature_dim + dir_w, hidden_width, 1], rng,
-                        output_activation="sigmoid")
+    radiance = mlp_init([feature_dim + dir_w, hidden_width, 1], rng)
     return FieldModel(
         density_grid=init_grid(dims, 1, bbox),
         feature_grid=init_grid(dims, feature_dim, bbox),
         deform_net=deform,
         radiance_net=radiance,
-        enc_pos=enc_pos,
-        enc_dir=enc_dir,
+        enc_pos_levels=enc_pos_levels,
+        enc_dir_levels=enc_dir_levels,
         density_bias=density_bias,
     )
 
@@ -294,7 +261,8 @@ def signal_forward(model: FieldModel, feat: np.ndarray, enc_tx: np.ndarray,
 
     The deformation net corrects the static feature for the transmitter
     position; the radiance net maps corrected feature plus emission-direction
-    encoding through a sigmoid. Shapes: feat (N, F), enc_* (N, width).
+    encoding to a logit, which a sigmoid takes into (0, 1). Shapes: feat
+    (N, F), enc_* (N, width).
     """
     if model.deform_enabled:
         de_in = np.concatenate([enc_tx, enc_x], axis=1)
@@ -306,10 +274,10 @@ def signal_forward(model: FieldModel, feat: np.ndarray, enc_tx: np.ndarray,
         feat_sum = feat
     rad_in = np.concatenate([feat_sum, enc_dir], axis=1)
     res = mlp_forward(model.radiance_net, rad_in, want_cache=want_cache)
-    s, rad_cache = res if want_cache else (res, None)
-    s = s[:, 0]
+    logit, rad_cache = res if want_cache else (res, None)
+    s = sigmoid(logit)[:, 0]
     if want_cache:
-        return s, (de_cache, rad_cache)
+        return s, (de_cache, rad_cache, s)
     return s
 
 
@@ -319,9 +287,9 @@ def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: Gradi
     The gradient of the corrected feature flows both to the static feature
     (returned, for the grid scatter) and through the deformation net.
     """
-    de_cache, rad_cache = cache
-    gw, gb, d_rad_in = mlp_backward(model.radiance_net, rad_cache,
-                                    np.asarray(d_signal)[:, None])
+    de_cache, rad_cache, s = cache
+    d_logit = np.asarray(d_signal) * (s * (1.0 - s))
+    gw, gb, d_rad_in = mlp_backward(model.radiance_net, rad_cache, d_logit[:, None])
     for i in range(len(gw)):
         grads[f"radiance.w{i}"] += gw[i]
         grads[f"radiance.b{i}"] += gb[i]
@@ -351,9 +319,9 @@ def query_signal(model: FieldModel, x: np.ndarray, tx: np.ndarray,
     txs = np.broadcast_to(np.atleast_2d(tx), (n, 3))
     dirs = np.broadcast_to(np.atleast_2d(direction), (n, 3))
     feat = interpolate(model.feature_grid, xs)
-    enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos)
-    enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos)
-    enc_d = positional_encode(dirs, model.enc_dir)
+    enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos_levels)
+    enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos_levels)
+    enc_d = positional_encode(dirs, model.enc_dir_levels)
     s = signal_forward(model, feat, enc_tx, enc_x, enc_d)
     return float(s[0]) if single else s
 

@@ -231,7 +231,7 @@ class SampleTable:
         if directions is None:
             directions = all_directions(geometry.spectrum_res)
         dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-        self.emission_enc = positional_encode(-dirs, model.enc_dir)
+        self.emission_enc = positional_encode(-dirs, model.enc_dir_levels)
         self.positions, self.spacings, self.offsets = sample_rays(geometry, dirs, step)
         self.counts = np.diff(self.offsets)
         self.enc_x = None
@@ -268,29 +268,25 @@ class SegmentTrace:
 
 
 def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
-                     cells: np.ndarray | None, tau: float, want_cache: bool = False):
+                     cells: np.ndarray, tau: float, want_cache: bool = False):
     """Render rays of a sample table with empty-space skipping.
 
-    cells picks the table ray of each rendered ray; None renders every table
-    ray in order, reading the table's arrays in place. tx is the transmitter
+    cells picks the table ray of each rendered ray. tx is the transmitter
     position, (3,) for all rays or (n_rays, 3) per ray.
     Samples with density below tau are skipped; the signal nets run on the
     kept samples only, and compositing runs on per-ray segments of them.
     Returns (accumulated per ray, final transmittance per ray, trace).
     """
-    if cells is None:
-        n_rays, counts, rows = len(table.counts), table.counts, slice(None)
-    else:
-        cells = np.asarray(cells)
-        n_rays, counts = len(cells), table.counts[cells]
-        starts = table.offsets[cells] - (np.cumsum(counts) - counts)
-        rows = np.repeat(starts, counts) + np.arange(counts.sum())
+    cells = np.asarray(cells)
+    n_rays, counts = len(cells), table.counts[cells]
+    starts = table.offsets[cells] - (np.cumsum(counts) - counts)
+    rows = np.repeat(starts, counts) + np.arange(counts.sum())
     idx = table.idx[rows]
     weights = table.weights[rows]
     raw = np.einsum("nk,nk->n", model.density_grid.values[:, 0][idx], weights)
     sigma = softplus(raw + model.density_bias)
     kept = sigma >= tau
-    rows_kept = np.flatnonzero(kept) if cells is None else rows[kept]
+    rows_kept = rows[kept]
     rk = np.repeat(np.arange(n_rays), counts)[kept]
     kept_idx, kept_weights = idx[kept], weights[kept]
 
@@ -298,15 +294,16 @@ def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
     if len(rk):
         feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx],
                          kept_weights)
-        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos)
+        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos_levels)
         enc_tx = enc_tx[rk] if enc_tx.ndim == 2 else np.broadcast_to(
             enc_tx, (len(rk), len(enc_tx)))
         if table.enc_x is None:
             enc_x = positional_encode(
-                model.normalize_positions(table.positions[rows_kept]), model.enc_pos)
+                model.normalize_positions(table.positions[rows_kept]),
+                model.enc_pos_levels)
         else:
             enc_x = table.enc_x[rows_kept]
-        enc_d = table.emission_enc[rk if cells is None else cells[rk]]
+        enc_d = table.emission_enc[cells[rk]]
         res = signal_forward(model, feat, enc_tx, enc_x, enc_d, want_cache=want_cache)
         signal_kept, sig_cache = res if want_cache else (res, None)
     else:
@@ -385,16 +382,18 @@ class RayTrace:
 
 
 def _render_table(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-                  step: float | None, tau: float, directions: np.ndarray | None = None):
-    """Check tau and tx, build a table and render all of its rays with
-    `forward_segments`; returns the table and the forward's outputs."""
-    if tau < 0:
-        raise ValueError("skip threshold must be nonnegative")
+                  tau: float, directions: np.ndarray | None = None):
+    """Check tau and tx, build a table at the grid's default step and render
+    all of its rays with `forward_segments`; returns the table and the
+    forward's outputs."""
+    if not tau >= 0:  # NaN too: no density would compare >= it
+        raise ValueError(f"skip threshold tau must be nonnegative, got {tau}")
     tx = np.asarray(tx, dtype=np.float64)
     if not np.all(np.isfinite(tx)):
         raise ValueError("tx must be finite")
-    table = SampleTable(geometry, model, step, directions)
-    return (table, *forward_segments(model, table, tx, None, tau))
+    table = SampleTable(geometry, model, directions=directions)
+    return (table, *forward_segments(model, table, tx, np.arange(len(table.counts)),
+                                     tau))
 
 
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
@@ -402,8 +401,7 @@ def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
     """Render one ray keeping all intermediates (for tests and diagnostics):
     `forward_segments` over a one-direction table at the grid's default step."""
     direction = np.asarray(direction, dtype=np.float64)
-    table, r_out, t_out, trace = _render_table(model, geometry, tx, None, tau,
-                                               direction)
+    table, r_out, t_out, trace = _render_table(model, geometry, tx, tau, direction)
     signal = np.zeros(len(table.spacings))
     signal[trace.kept] = trace.signal_kept
     return RayTrace(direction=direction, positions=table.positions,
@@ -423,20 +421,19 @@ class SpectrumTrace:
     n_kept: int
 
 
-def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-                    step: float | None = None, tau: float = 0.0) -> np.ndarray:
+def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray, *,
+                    tau: float = 0.0) -> np.ndarray:
     """Spatial spectrum for one transmitter position: (M, N) array with cell
     (m, n) holding the accumulated signal from that direction."""
-    spectrum, _ = render_spectrum_traced(model, geometry, tx, step=step, tau=tau)
+    spectrum, _ = render_spectrum_traced(model, geometry, tx, tau=tau)
     return spectrum
 
 
 def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
-                           tx: np.ndarray, step: float | None = None,
-                           tau: float = 0.0):
+                           tx: np.ndarray, *, tau: float = 0.0):
     """render_spectrum plus per-ray transmittance and skip statistics:
     `forward_segments` over every ray of a full-spectrum table."""
-    table, r_out, t_out, trace = _render_table(model, geometry, tx, step, tau)
+    table, r_out, t_out, trace = _render_table(model, geometry, tx, tau)
     spectrum = r_out.reshape(geometry.spectrum_res)
     return spectrum, SpectrumTrace(final_transmittance=t_out,
                                    n_samples=len(table.spacings),

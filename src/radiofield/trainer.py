@@ -67,7 +67,25 @@ class TrainConfig:
 
     def __post_init__(self):
         self.final_dims = tuple(int(d) for d in self.final_dims)
-        if self.upsample_iters is None:
+        # every comparison below is false for NaN, so NaN fails its check
+        for name, ok, need in (
+                ("final_dims", all(d >= 2 for d in self.final_dims),
+                 "at least 2 nodes per axis"),
+                ("total_iters", self.total_iters >= 0, "nonnegative"),
+                ("batch_rays", self.batch_rays >= 1, "at least 1"),
+                ("lr_grid", 0 <= self.lr_grid < math.inf, "finite and nonnegative"),
+                ("lr_mlp", 0 <= self.lr_mlp < math.inf, "finite and nonnegative"),
+                ("lr_decay_target_fraction",
+                 0 < self.lr_decay_target_fraction < math.inf, "finite and positive"),
+                ("tau", self.tau >= 0, "nonnegative"),
+                ("density_bias", math.isfinite(self.density_bias), "finite"),
+                ("enc_pos_levels", self.enc_pos_levels >= 1, "at least 1"),
+                ("enc_dir_levels", self.enc_dir_levels >= 1, "at least 1"),
+                ("log_interval", self.log_interval >= 1, "at least 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        derived = self.upsample_iters is None
+        if derived:
             # front-loaded: the three-stage family is {T/8, T/4, T/2}; fewer
             # stages keep its leading members, more stages extend it downward
             span = max(self.stages, 3)
@@ -78,12 +96,14 @@ class TrainConfig:
         if len(self.upsample_iters) != self.stages:
             raise ValueError(f"need {self.stages} upsample iterations, "
                              f"got {len(self.upsample_iters)}")
+        if any(i < 0 for i in self.upsample_iters):
+            raise ValueError(f"upsample_iters must be nonnegative, got {self.upsample_iters!r}")
         if any(b >= a for a, b in zip(self.upsample_iters[1:], self.upsample_iters)):
-            raise ValueError("upsample_iters must be strictly increasing")
+            raise ValueError(
+                f"total_iters {self.total_iters} is too small for {self.stages} stages"
+                if derived else "upsample_iters must be strictly increasing")
         if any(i >= self.total_iters for i in self.upsample_iters):
             raise ValueError("upsample_iters must all precede total_iters")
-        if self.batch_rays < 1:
-            raise ValueError("batch_rays must be at least 1")
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -99,6 +119,11 @@ class TrainConfig:
         return cls(**defaults)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers and step counter for one parameter group."""
@@ -106,9 +131,6 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
@@ -143,7 +165,7 @@ def adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
     tensors earlier in params order have then already been updated.
     """
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -239,7 +261,7 @@ class _StageCache(SampleTable):
                  grad_radius: float | None = None):
         super().__init__(geometry, model, step)
         self.enc_x = positional_encode(model.normalize_positions(self.positions),
-                                       model.enc_pos)
+                                       model.enc_pos_levels)
         self.grad_scale = None
         if grad_radius is not None:
             r = np.linalg.norm(self.positions - geometry.rx_position, axis=1)

@@ -30,12 +30,13 @@ _RETRIES = 2     # smaller steps tried before an entry counts as on a kink
 
 def branch_pattern(trace, final_transmittance: np.ndarray) -> np.ndarray:
     """Sign of every ReLU pre-activation in a _forward_batch trace (taken with
-    want_cache=True), plus the set of rays the background entropy clamps."""
+    want_cache=True), plus the set of rays the background entropy clamps.
+
+    A net's cache holds each layer's input, so every input after the first is
+    a hidden ReLU's output, positive exactly where its pre-activation is."""
     parts = []
-    for net_cache in trace.sig_cache or ():
-        for _, z, _, act in net_cache or ():
-            if act == "relu":
-                parts.append((z > 0.0).ravel())
+    for net_cache in (trace.sig_cache or ())[:2]:  # deformation, radiance
+        parts.extend((a > 0.0).ravel() for a in (net_cache or ())[1:])
     parts.append(entropy_clamped(final_transmittance))
     return np.concatenate(parts)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from radiofield.trainer import AdamState, NumericalError
+from radiofield.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericalError
 
 
 def reference_adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -28,11 +28,11 @@ def reference_adam_step(params: dict, grads, state: AdamState, lr: float) -> Ada
             raise NumericalError(f"non-finite gradient in tensor {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 

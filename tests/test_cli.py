@@ -20,7 +20,7 @@ from radiofield.cli import (
     main,
     split_indices,
 )
-from radiofield.dataio import load_dataset, read_spectrum
+from radiofield.dataio import FormatError, load_checkpoint, load_dataset, read_spectrum
 from radiofield.trainer import TrainConfig
 
 
@@ -41,6 +41,18 @@ def tree_digest(root: Path) -> str:
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def with_metadata(ckpt: Path, out: Path, edit) -> Path:
+    """Copy of checkpoint ckpt at out, its JSON metadata changed by edit(meta)."""
+    blob = ckpt.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode()
+    out.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                    + blob[12 + meta_len:])
+    return out
 
 
 def synth_small(tmp_path, name="data", seed=7, n_tx=6, res=(12, 4), extra=()):
@@ -170,6 +182,45 @@ class TestMalformedInput:
         assert res.returncode == 2, res.stderr
         ((section, body),) = doc.items()
         assert "Traceback" not in res.stderr and f"{section}.{next(iter(body))}" in res.stderr
+
+    @pytest.mark.parametrize("command,args,field", [
+        ("train", ["--trainer.log_interval", "0"], "log_interval"),
+        ("train", ["--trainer.log_interval", "-2"], "log_interval"),
+        ("train", ["--trainer.lr_decay_target_fraction", "-0.1"],
+         "lr_decay_target_fraction"),
+        ("train", ["--trainer.final_dims", "3", "3", "0", "--trainer.stages", "1",
+                   "--trainer.upsample_iters", "20"], "final_dims"),
+        ("train", ["--trainer.stages", "3", "--trainer.upsample_iters", "-3", "1", "2"],
+         "upsample_iters"),
+        ("train", ["--trainer.tau", "-1"], "tau"),
+        ("train", ["--trainer.tau", "nan"], "tau"),
+        ("train", ["--trainer.lr_grid", "-0.5"], "lr_grid"),
+        ("train", ["--trainer.lr_grid", "inf"], "lr_grid"),
+        ("train", ["--trainer.lr_mlp", "nan"], "lr_mlp"),
+        ("train", ["--trainer.density_bias", "nan"], "density_bias"),
+        ("train", ["--trainer.total_iters", "-5"], "total_iters"),
+        ("infer", ["--tau", "nan"], "tau"),
+        ("eval", ["--tau", "nan"], "tau"),
+        ("synth", ["--rssi-noise-db", "nan"], "rssi_noise_db"),
+        ("synth", ["--rssi-noise-db", "-1"], "rssi_noise_db"),
+        ("synth", ["--fine-step", "nan"], "fine_step"),
+    ], ids=["log_interval_0", "log_interval_negative", "lr_decay_negative",
+            "final_dims_zero", "upsample_iter_negative", "train_tau_negative",
+            "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
+            "density_bias_nan", "total_iters_negative",
+            "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
+            "fine_step_nan"])
+    def test_bad_value_is_config_error(self, pipeline, tmp_path, capsys, command,
+                                       args, field):
+        # in process: an exception escaping main() fails the test, as it would
+        # end the command in a traceback
+        _, data, ckpt, _ = pipeline
+        base = {"train": ["--data", data, *TINY_TRAIN],
+                "infer": ["--checkpoint", ckpt, "--tx", 1, 1, 1],
+                "eval": ["--checkpoint", ckpt, "--data", data],
+                "synth": ["--n-tx", 1, "--res", 4, 2, "--fine-step", 0.1]}[command]
+        code = run_cli(command, *base, *args, "--out", tmp_path / "out")
+        assert code == 2 and field in capsys.readouterr().err
 
     def test_config_values_reach_train_config_unconverted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -349,17 +400,29 @@ class TestTrainInferEval:
 
     def test_checkpoint_without_grid_dims_exit_code(self, pipeline, tmp_path):
         _, _, ckpt, _ = pipeline
-        blob = ckpt.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", blob, 8)
-        meta = json.loads(blob[12:12 + meta_len])
-        del meta["grid_dims"]
-        meta_bytes = json.dumps(meta).encode()
-        bad = tmp_path / "no_dims.ckpt"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
-                        + blob[12 + meta_len:])
+        bad = with_metadata(ckpt, tmp_path / "no_dims.ckpt",
+                            lambda meta: meta.pop("grid_dims"))
         code = run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
                        "--out", tmp_path / "o.vxrf")
         assert code == 4
+
+    @pytest.mark.parametrize("key,value", [
+        ("radiance_output_activation", "identity"),
+        ("radiance_hidden_activation", "sigmoid"),
+        ("deform_hidden_activation", "identity"),
+        ("deform_output_activation", "relu"),
+    ])
+    def test_other_activation_is_format_error(self, pipeline, tmp_path, key, value):
+        # the nets are fixed ReLU MLPs with a linear deformation output and a
+        # sigmoid radiance output; a checkpoint recording others is not loaded
+        # as some other net
+        _, _, ckpt, _ = pipeline
+        bad = with_metadata(ckpt, tmp_path / "act.ckpt",
+                            lambda meta: meta.update({key: value}))
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(bad)
+        assert run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
+                       "--out", tmp_path / "o.vxrf") == 4
 
     def test_undecodable_tensor_name_exit_code(self, pipeline, tmp_path):
         _, _, ckpt, _ = pipeline

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radiofield.cli import _geometry_from_checkpoint
 from radiofield.dataio import (
     Blob,
     Dataset,
@@ -16,6 +15,7 @@ from radiofield.dataio import (
     FormatError,
     SyntheticScene,
     generate_dataset,
+    geometry_from_checkpoint,
     load_checkpoint,
     load_dataset,
     oracle_composite,
@@ -299,6 +299,14 @@ class TestCheckpoint:
         assert back.deform_enabled == m.deform_enabled
         assert back.density_bias == m.density_bias
 
+    def test_activation_keys_written(self, tmp_path):
+        # the nets' activations are fixed, but the format still records them
+        save_checkpoint(tmp_path / "m.ckpt", self.make_model())
+        _, meta = load_checkpoint(tmp_path / "m.ckpt")
+        assert {k: v for k, v in meta.items() if k.endswith("_activation")} == {
+            "deform_hidden_activation": "relu", "deform_output_activation": "identity",
+            "radiance_hidden_activation": "relu", "radiance_output_activation": "sigmoid"}
+
     def test_tampered_dims_detected(self, tmp_path):
         m = self.make_model()
         path = tmp_path / "m.ckpt"
@@ -361,7 +369,7 @@ class TestCorruptFiles:
             if name == "s.vxrf":
                 read_spectrum(path)
             elif name == "m.ckpt":  # what `infer` reads from a checkpoint
-                _geometry_from_checkpoint(load_checkpoint(path)[1])
+                geometry_from_checkpoint(path, load_checkpoint(path)[1])
             else:
                 load_dataset(path.parent).load_spectra()
 

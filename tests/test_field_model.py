@@ -7,7 +7,6 @@ from radiofield.field_model import (
     FieldModel,
     GradientSet,
     Mlp,
-    PositionalEncodingConfig,
     init_field_model,
     positional_encode,
     query_density,
@@ -51,32 +50,29 @@ def ray_gradient(model, tx, cells, d_r, d_t):
 
 class TestPositionalEncoding:
     def test_zero_input(self):
-        out = positional_encode(np.array([0.0]), PositionalEncodingConfig(2))
+        out = positional_encode(np.array([0.0]), 2)
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 1.0], atol=1e-15)
 
     def test_half_closed_form(self):
         # sin/cos at pi/2 and pi
-        out = positional_encode(np.array([0.5]), PositionalEncodingConfig(2))
+        out = positional_encode(np.array([0.5]), 2)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0, -1.0], atol=1e-12)
 
     def test_integer_input_hits_multiples_of_pi(self):
         for levels in (1, 3, 5):
-            out = positional_encode(np.array([1.0]), PositionalEncodingConfig(levels))
+            out = positional_encode(np.array([1.0]), levels)
             sin_terms = out[0::2]
             cos_terms = out[1::2]
             np.testing.assert_allclose(sin_terms, 0.0, atol=1e-9)
             np.testing.assert_allclose(np.abs(cos_terms), 1.0, atol=1e-12)
 
     def test_width_and_batch_shape(self):
-        cfg = PositionalEncodingConfig(5)
-        assert cfg.width(3) == 30
-        out = positional_encode(np.zeros((7, 3)), cfg)
+        out = positional_encode(np.zeros((7, 3)), 5)
         assert out.shape == (7, 30)
 
     def test_component_major_layout(self):
         # First 2L entries belong to the first component.
-        cfg = PositionalEncodingConfig(2)
-        out = positional_encode(np.array([0.5, 0.0]), cfg)
+        out = positional_encode(np.array([0.5, 0.0]), 2)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0],
                                    atol=1e-12)
 
@@ -231,4 +227,5 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError):
             FieldModel(density_grid=m.density_grid, feature_grid=m.feature_grid,
                        deform_net=bad, radiance_net=m.radiance_net,
-                       enc_pos=m.enc_pos, enc_dir=m.enc_dir)
+                       enc_pos_levels=m.enc_pos_levels,
+                       enc_dir_levels=m.enc_dir_levels)

@@ -265,7 +265,8 @@ class TestForwardSegments:
         for i, tx in enumerate(txs):
             r_i, t_i, _ = forward_segments(m, table, tx, cells, tau)
             one_r[i], one_t[i] = r_i[i], t_i[i]
-            full_r, full_t, _ = forward_segments(m, table, tx, None, tau)
+            full_r, full_t, _ = forward_segments(m, table, tx, np.arange(geo.n_directions),
+                                                 tau)
             assert r[i] == pytest.approx(full_r[cells[i]], rel=1e-12, abs=1e-15)
             assert t_k[i] == pytest.approx(full_t[cells[i]], rel=1e-12)
         assert np.array_equal(r, one_r) and np.array_equal(t_k, one_t)
@@ -409,9 +410,14 @@ class TestRenderSpectrum:
         geo = demo_geometry(res=(4, 2))
         tx = np.zeros(3)
         base = default_step(geo.bbox, m.density_grid.dims)
-        ref = render_spectrum(m, geo, tx, step=base / 16)
-        err1 = np.abs(render_spectrum(m, geo, tx, step=base) - ref).max()
-        err2 = np.abs(render_spectrum(m, geo, tx, step=base / 2) - ref).max()
+
+        def render(step):
+            table = SampleTable(geo, m, step)
+            return forward_segments(m, table, tx, np.arange(geo.n_directions), 0.0)[0]
+
+        ref = render(base / 16)
+        err1 = np.abs(render(base) - ref).max()
+        err2 = np.abs(render(base / 2) - ref).max()
         assert err1 >= 1.5 * err2
 
 

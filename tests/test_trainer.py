@@ -552,6 +552,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(batch_rays=0)
 
+    @pytest.mark.parametrize("total_iters", [-5, 0, 3])
+    def test_bad_total_iters_named_with_default_stages(self, total_iters):
+        with pytest.raises(ValueError, match="total_iters"):
+            TrainConfig(total_iters=total_iters)
+
     def test_paper_profile_values(self):
         cfg = TrainConfig.paper()
         assert cfg.final_dims == (160, 160, 160)
