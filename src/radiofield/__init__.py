@@ -7,6 +7,7 @@ from .renderer import (
     aggregate_rssi,
     composite,
     direction_from_angles,
+    render_spectra,
     render_spectrum,
 )
 from .objectives import LossReport, background_entropy, spectrum_mse, total_loss
@@ -29,7 +30,7 @@ __all__ = [
     "Aabb", "VoxelGrid", "init_grid", "interpolate", "upsample",
     "FieldModel", "GradientSet", "init_field_model", "query_density", "query_signal",
     "SceneGeometry", "aggregate_rssi", "composite", "direction_from_angles",
-    "render_spectrum",
+    "render_spectra", "render_spectrum",
     "LossReport", "background_entropy", "spectrum_mse", "total_loss",
     "TrainConfig", "TrainResult", "adam_step", "fit_rssi_calibration", "train",
     "Blob", "Dataset", "SyntheticScene", "generate_dataset", "load_checkpoint",

@@ -33,7 +33,7 @@ from .dataio import (
     write_spectrum,
 )
 from .metrics import percentile_summary, rssi_error, ssim, write_cdf_csv, write_indexed_csv
-from .renderer import SceneGeometry, aggregate_rssi, render_spectrum
+from .renderer import SceneGeometry, aggregate_rssi, render_spectra, render_spectrum
 from .trainer import NumericalError, TrainConfig, fit_rssi_calibration, train
 from .voxel_grid import Aabb
 
@@ -300,13 +300,9 @@ def cmd_eval(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     targets = dataset.load_spectra()
-    ssims = []
-    predictions = {}
-    for i in test_idx:
-        rec = dataset.records[i]
-        predicted = render_spectrum(model, geometry, rec.tx_position, tau=tau)
-        predictions[i] = predicted
-        ssims.append(ssim(predicted, targets[i]))
+    predictions = render_spectra(model, geometry, dataset.tx_positions()[test_idx],
+                                 tau=tau)
+    ssims = [ssim(predicted, targets[i]) for i, predicted in zip(test_idx, predictions)]
     write_indexed_csv(out_dir / "ssim.csv", "tx_index,ssim", ssims)
     write_cdf_csv(out_dir / "ssim_cdf.csv", ssims, value_name="ssim")
     summary = {"n_test": len(test_idx), "ssim": percentile_summary(ssims)}
@@ -318,11 +314,11 @@ def cmd_eval(cfg: dict) -> int:
             raise ConfigError("--rssi requires training records with rssi_dbm")
         calibration = fit_rssi_calibration(model, geometry, train_records, tau=tau)
         preds, meas = [], []
-        for i in test_idx:
+        for i, predicted in zip(test_idx, predictions):
             rec = dataset.records[i]
             if rec.rssi_dbm is None:
                 continue
-            preds.append(aggregate_rssi(predictions[i], calibration))
+            preds.append(aggregate_rssi(predicted, calibration))
             meas.append(rec.rssi_dbm)
         if not preds:
             raise ConfigError("no held-out records carry rssi_dbm")
@@ -381,6 +377,10 @@ def main(argv=None) -> int:
         return 3
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"config error: out of memory for the configured sizes: {e}",
+              file=sys.stderr)
         return 2
 
 

@@ -91,42 +91,47 @@ def mlp_init(layer_sizes, rng: np.random.Generator) -> Mlp:
     return Mlp(weights=weights, biases=biases)
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray, want_cache: bool = False):
-    """Evaluate the network on (N, in) rows; optionally keep the cache
-    (every layer's input) needed for backprop."""
-    a = np.asarray(x, dtype=np.float64)
-    inputs = [a]
+def mlp_forward(mlp: Mlp, pre: np.ndarray, want_cache: bool = False):
+    """Evaluate the network on (N, width) rows of its first layer's
+    pre-activation x W0^T + b0, which the caller assembles from the parts of
+    x (`signal_forward`); pre is overwritten. Optionally keep the cache needed
+    for backprop: every hidden ReLU's output, in layer order."""
+    a = pre
+    hidden = []
     # bias and ReLU in place on the fresh matmul output: the same values
     # without two more (N, width) temporaries per layer
-    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+    for w, b in zip(mlp.weights[1:], mlp.biases[1:]):
+        np.maximum(a, 0.0, out=a)
+        hidden.append(a)
         a = a @ w.T
         a += b
-        np.maximum(a, 0.0, out=a)
-        inputs.append(a)
-    out = a @ mlp.weights[-1].T
-    out += mlp.biases[-1]
-    return (out, inputs) if want_cache else out
+    return (a, hidden) if want_cache else a
 
 
-def mlp_backward(mlp: Mlp, cache, d_out: np.ndarray, input_grad: bool = True):
-    """Backprop through a cached forward pass.
+def mlp_backward(mlp: Mlp, hidden, d_out: np.ndarray, grads: GradientSet,
+                 tag: str, inputs) -> np.ndarray:
+    """Backprop through a cached mlp_forward, accumulating every layer's
+    gradients into grads[f"{tag}.w{i}"] and grads[f"{tag}.b{i}"].
 
-    Returns (weight_grads, bias_grads, d_input); gradients are fresh arrays in
-    layer order. With input_grad=False the input gradient of the first layer
-    is not computed and d_input is None.
+    inputs are the first layer's input rows as column blocks, in input order
+    (they concatenate to x). Returns dL/dpre, the gradient of the first
+    layer's pre-activation.
     """
-    grad_w = [None] * len(mlp.weights)
-    grad_b = [None] * len(mlp.biases)
     delta = np.asarray(d_out, dtype=np.float64)
-    for i in reversed(range(len(mlp.weights))):
-        a = cache[i]
-        grad_w[i] = delta.T @ a
-        grad_b[i] = delta.sum(axis=0)
-        if i:
-            # a is the output of the ReLU below, so a > 0 is that ReLU's
-            # mask (a boolean mask multiplies as 1.0 / 0.0)
-            delta = (delta @ mlp.weights[i]) * (a > 0.0)
-    return grad_w, grad_b, (delta @ mlp.weights[0] if input_grad else None)
+    for i in reversed(range(1, len(mlp.weights))):
+        a = hidden[i - 1]
+        grads[f"{tag}.w{i}"] += delta.T @ a
+        grads[f"{tag}.b{i}"] += delta.sum(axis=0)
+        # a is the output of the ReLU below, so a > 0 is that ReLU's mask (a
+        # boolean mask multiplies as 1.0 / 0.0)
+        delta = (delta @ mlp.weights[i]) * (a > 0.0)
+    grad_w0 = grads[f"{tag}.w0"]
+    col = 0
+    for x in inputs:
+        grad_w0[:, col:col + x.shape[1]] += delta.T @ x
+        col += x.shape[1]
+    grads[f"{tag}.b0"] += delta.sum(axis=0)
+    return delta
 
 
 @dataclass
@@ -255,52 +260,97 @@ def _check_unit(dirs: np.ndarray):
                          f"[{norms.min():.8f}, {norms.max():.8f}]")
 
 
-def signal_forward(model: FieldModel, feat: np.ndarray, enc_tx: np.ndarray,
-                   enc_x: np.ndarray, enc_dir: np.ndarray, want_cache: bool = False):
-    """Emitted power from pre-interpolated features and pre-computed encodings.
+@dataclass
+class StaticTerms:
+    """The transmitter-independent inputs of the signal nets over N sample
+    rows of R rays, to which `signal_forward` adds one transmitter's terms.
+
+    The deformation net's first layer splits as W0 = [W_tx | W_x] over its
+    input [enc(tx) | enc(x)], the radiance net's as [R_feat | R_dir] over
+    [feature | enc(dir)]. The enc(x) part is held per row and the enc(dir)
+    part per ray, each with its layer's bias, and serve every transmitter.
+    """
+
+    feat: np.ndarray           # (N, F) static feature per row
+    ray_of: np.ndarray         # (N,) ray of each row
+    x_pre: np.ndarray | None   # (N, H) enc(x) W_x^T + b0; None without deformation
+    dir_pre: np.ndarray        # (R, H) enc(dir) R_dir^T + rb0
+    enc_x: np.ndarray | None   # (N, pos width), kept for the backward pass
+    enc_dir: np.ndarray | None  # (R, dir width), kept for the backward pass
+
+
+def static_terms(model: FieldModel, feat: np.ndarray, ray_of: np.ndarray,
+                 enc_x: np.ndarray, enc_dir: np.ndarray,
+                 keep_encodings: bool = False) -> StaticTerms:
+    """StaticTerms of rows with features feat (N, F), position encodings
+    enc_x (N, width) and owning rays ray_of, on rays with emission-direction
+    encodings enc_dir (R, width). keep_encodings keeps the encodings for
+    `signal_backward`."""
+    x_pre = None
+    if model.deform_enabled:
+        w0 = model.deform_net.weights[0]
+        x_pre = enc_x @ w0[:, encoding_width(model.enc_pos_levels):].T
+        x_pre += model.deform_net.biases[0]
+    dir_pre = enc_dir @ model.radiance_net.weights[0][:, model.feature_dim:].T
+    dir_pre += model.radiance_net.biases[0]
+    return StaticTerms(feat=feat, ray_of=ray_of, x_pre=x_pre, dir_pre=dir_pre,
+                       enc_x=enc_x if keep_encodings else None,
+                       enc_dir=enc_dir if keep_encodings else None)
+
+
+def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
+                   want_cache: bool = False):
+    """Emitted power of the rows of `static` under a transmitter, from its
+    position encoding enc_tx: (width,) for every ray or (R, width) per ray.
 
     The deformation net corrects the static feature for the transmitter
     position; the radiance net maps corrected feature plus emission-direction
-    encoding to a logit, which a sigmoid takes into (0, 1). Shapes: feat
-    (N, F), enc_* (N, width).
+    encoding to a logit, which a sigmoid takes into (0, 1). Each first layer
+    adds its one varying term to the static ones: enc(tx) W_tx^T per ray, and
+    the corrected feature's term per row.
     """
+    ray_of = static.ray_of
     if model.deform_enabled:
-        de_in = np.concatenate([enc_tx, enc_x], axis=1)
-        res = mlp_forward(model.deform_net, de_in, want_cache=want_cache)
-        dfeat, de_cache = res if want_cache else (res, None)
-        feat_sum = feat + dfeat
+        n_rays, width = len(static.dir_pre), enc_tx.shape[-1]
+        # one row per ray even for a shared transmitter: the product is then
+        # the per-ray transmitters' product, bit for bit
+        enc_tx = np.ascontiguousarray(np.broadcast_to(enc_tx, (n_rays, width)))
+        pre = (enc_tx @ model.deform_net.weights[0][:, :width].T)[ray_of]
+        pre += static.x_pre
+        res = mlp_forward(model.deform_net, pre, want_cache=want_cache)
+        dfeat, de_hidden = res if want_cache else (res, None)
+        feat_sum = static.feat + dfeat
     else:
-        de_cache = None
-        feat_sum = feat
-    rad_in = np.concatenate([feat_sum, enc_dir], axis=1)
-    res = mlp_forward(model.radiance_net, rad_in, want_cache=want_cache)
-    logit, rad_cache = res if want_cache else (res, None)
+        feat_sum = static.feat
+    pre = feat_sum @ model.radiance_net.weights[0][:, :model.feature_dim].T
+    pre += static.dir_pre[ray_of]
+    res = mlp_forward(model.radiance_net, pre, want_cache=want_cache)
+    logit, rad_hidden = res if want_cache else (res, None)
     s = sigmoid(logit)[:, 0]
     if want_cache:
-        return s, (de_cache, rad_cache, s)
+        # per net: the first layer's varying input, then its hidden outputs
+        de_cache = [enc_tx, *de_hidden] if model.deform_enabled else None
+        return s, (de_cache, [feat_sum, *rad_hidden], s, static)
     return s
 
 
 def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: GradientSet):
-    """Adjoint of signal_forward; accumulates MLP gradients, returns d_feat.
+    """Adjoint of signal_forward (taken with want_cache=True from StaticTerms
+    that kept their encodings); accumulates MLP gradients, returns d_feat.
 
     The gradient of the corrected feature flows both to the static feature
-    (returned, for the grid scatter) and through the deformation net.
+    (returned, for the grid scatter) and through the deformation net. The
+    per-ray input blocks of the first layers are gathered per row for their
+    weight gradients.
     """
-    de_cache, rad_cache, s = cache
+    de_cache, rad_cache, s, static = cache
     d_logit = np.asarray(d_signal) * (s * (1.0 - s))
-    gw, gb, d_rad_in = mlp_backward(model.radiance_net, rad_cache, d_logit[:, None])
-    for i in range(len(gw)):
-        grads[f"radiance.w{i}"] += gw[i]
-        grads[f"radiance.b{i}"] += gb[i]
-    f = model.feature_dim
-    d_feat = d_rad_in[:, :f]
+    d_feat = mlp_backward(model.radiance_net, rad_cache[1:], d_logit[:, None], grads,
+                          "radiance", (rad_cache[0], static.enc_dir[static.ray_of])
+                          ) @ model.radiance_net.weights[0][:, :model.feature_dim]
     if model.deform_enabled:
-        gw, gb, _ = mlp_backward(model.deform_net, de_cache, d_feat,
-                                 input_grad=False)
-        for i in range(len(gw)):
-            grads[f"deform.w{i}"] += gw[i]
-            grads[f"deform.b{i}"] += gb[i]
+        mlp_backward(model.deform_net, de_cache[1:], d_feat, grads, "deform",
+                     (de_cache[0][static.ray_of], static.enc_x))
     return d_feat
 
 
@@ -322,6 +372,7 @@ def query_signal(model: FieldModel, x: np.ndarray, tx: np.ndarray,
     enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos_levels)
     enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos_levels)
     enc_d = positional_encode(dirs, model.enc_dir_levels)
-    s = signal_forward(model, feat, enc_tx, enc_x, enc_d)
+    # every point is its own ray
+    static = static_terms(model, feat, np.arange(n), enc_x, enc_d)
+    s = signal_forward(model, static, enc_tx)
     return float(s[0]) if single else s
-

@@ -7,11 +7,14 @@ standard emission-absorption model; samples whose density falls below a
 threshold are skipped as empty space.
 
 One ray engine serves rendering, tracing and training: a `SampleTable` holds
-the samples and shared trilinear support of a set of directions,
+the samples and shared trilinear support of a set of directions, and
 `forward_segments` renders any of its rays for any transmitters with the
-compositing of all rays done over per-ray segments in one pass, and
-`backward_segments` is its adjoint. A spectrum render is the forward over
-every ray of a full-spectrum table, `trace_ray` the forward over a
+compositing of all rays done over per-ray segments in one pass;
+`backward_segments` is its adjoint. The forward is a `density_pass`, which
+does everything the transmitter does not touch, followed by a `signal_pass`
+for one transmitter position (or one per ray). `render_spectra` runs one
+table and one density pass for many transmitters and one signal pass each; a
+spectrum render is its one-transmitter case, `trace_ray` the forward over a
 one-direction table, and the trainer's batches the forward over cells of its
 stage table.
 """
@@ -26,10 +29,12 @@ from . import field_model, voxel_grid
 from .field_model import (
     FieldModel,
     GradientSet,
+    StaticTerms,
     positional_encode,
     sigmoid,
     signal_forward,
     softplus,
+    static_terms,
 )
 from .voxel_grid import Aabb, voxel_edge
 
@@ -164,6 +169,24 @@ def segment_prefix(values: np.ndarray, ray_of: np.ndarray, n_rays: int):
     return cs - np.repeat(base, counts)
 
 
+def segment_weights(optical: np.ndarray, ray_of: np.ndarray, n_rays: int):
+    """The signal-independent half of `composite_segments`: (T_K per ray,
+    exclusive prefix per sample, weights per sample)."""
+    excl = segment_prefix(optical, ray_of, n_rays) - optical
+    w = np.exp(-excl) * -np.expm1(-optical)
+    t_out = np.exp(-np.bincount(ray_of, weights=optical, minlength=n_rays))
+    return t_out, excl, w
+
+
+def accumulate(weights: np.ndarray, signal: np.ndarray, ray_of: np.ndarray,
+               n_rays: int) -> np.ndarray:
+    """R = sum of w_i S_i per ray; 0 for a ray without samples."""
+    # bincount of no weights is integer-typed: a pass that keeps no sample
+    # still returns float R
+    return np.bincount(ray_of, weights=weights * signal, minlength=n_rays).astype(
+        np.float64, copy=False)
+
+
 def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarray,
                        n_rays: int):
     """Front-to-back compositing of many rays at once, over contiguous per-ray
@@ -175,14 +198,8 @@ def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarr
     (R per ray, T_K per ray, exclusive prefix per sample, weights per sample);
     a ray without samples gets R = 0, T_K = 1.
     """
-    excl = segment_prefix(optical, ray_of, n_rays) - optical
-    w = np.exp(-excl) * -np.expm1(-optical)
-    # bincount of no weights is integer-typed: a pass that keeps no sample
-    # still returns float R
-    r_out = np.bincount(ray_of, weights=w * signal, minlength=n_rays).astype(
-        np.float64, copy=False)
-    t_out = np.exp(-np.bincount(ray_of, weights=optical, minlength=n_rays))
-    return r_out, t_out, excl, w
+    t_out, excl, w = segment_weights(optical, ray_of, n_rays)
+    return accumulate(w, signal, ray_of, n_rays), t_out, excl, w
 
 
 def composite_segments_backward(optical: np.ndarray, signal: np.ndarray,
@@ -220,8 +237,8 @@ class SampleTable:
     update, and after the grids are resampled `resupport` renews the support
     alone.
     enc_x holds per-sample position encodings when the table's owner caches
-    them; it is None otherwise, and `forward_segments` encodes the kept
-    samples of each call.
+    them; it is None otherwise, and `density_pass` encodes the kept samples
+    of each call.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel,
@@ -247,9 +264,10 @@ class SampleTable:
 
 @dataclass
 class SegmentTrace:
-    """Intermediates of one `forward_segments` pass. kept and sigma cover
-    every sample of the pass, the other per-sample arrays the kept samples
-    only, in ray order."""
+    """Intermediates of one pass over rays of a sample table. kept and sigma
+    cover every sample of the pass, the other per-sample arrays the kept
+    samples only, in ray order. `density_pass` fills every field but the last
+    two, which belong to one transmitter's `signal_pass`."""
 
     kept: np.ndarray           # skip mask over the pass's samples
     sigma: np.ndarray          # density at every sample of the pass
@@ -262,20 +280,22 @@ class SegmentTrace:
     optical: np.ndarray        # sigma * delta per kept sample
     excl_prefix: np.ndarray    # per-ray exclusive prefix of optical depth
     weights: np.ndarray        # compositing weight T_i * alpha_i
-    signal_kept: np.ndarray
     t_final: np.ndarray        # per ray
-    sig_cache: object          # signal_forward cache, with want_cache
+    static: StaticTerms | None  # signal nets' static inputs; None if none kept
+    signal_kept: np.ndarray | None = None
+    sig_cache: object = None   # signal_forward cache, with want_cache
 
 
-def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
-                     cells: np.ndarray, tau: float, want_cache: bool = False):
-    """Render rays of a sample table with empty-space skipping.
+def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
+                 tau: float, keep_encodings: bool = False) -> SegmentTrace:
+    """Everything of a render of rays of a sample table that the transmitter
+    does not touch.
 
-    cells picks the table ray of each rendered ray. tx is the transmitter
-    position, (3,) for all rays or (n_rays, 3) per ray.
-    Samples with density below tau are skipped; the signal nets run on the
-    kept samples only, and compositing runs on per-ray segments of them.
-    Returns (accumulated per ray, final transmittance per ray, trace).
+    cells picks the table ray of each rendered ray. Samples with density
+    below tau are skipped; the compositing weights, the static features and
+    the static first-layer terms of the signal nets (`StaticTerms`) cover the
+    kept samples only. keep_encodings keeps the encodings the backward pass
+    needs.
     """
     cells = np.asarray(cells)
     n_rays, counts = len(cells), table.counts[cells]
@@ -289,36 +309,67 @@ def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
     rows_kept = rows[kept]
     rk = np.repeat(np.arange(n_rays), counts)[kept]
     kept_idx, kept_weights = idx[kept], weights[kept]
+    spacings_kept = table.spacings[rows_kept]
+    optical = sigma[kept] * spacings_kept
+    t_out, excl, w = segment_weights(optical, rk, n_rays)
 
-    sig_cache = None
+    static = None
     if len(rk):
         feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx],
                          kept_weights)
-        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos_levels)
-        enc_tx = enc_tx[rk] if enc_tx.ndim == 2 else np.broadcast_to(
-            enc_tx, (len(rk), len(enc_tx)))
         if table.enc_x is None:
             enc_x = positional_encode(
                 model.normalize_positions(table.positions[rows_kept]),
                 model.enc_pos_levels)
         else:
             enc_x = table.enc_x[rows_kept]
-        enc_d = table.emission_enc[cells[rk]]
-        res = signal_forward(model, feat, enc_tx, enc_x, enc_d, want_cache=want_cache)
-        signal_kept, sig_cache = res if want_cache else (res, None)
-    else:
-        signal_kept = np.empty(0)
+        static = static_terms(model, feat, rk, enc_x, table.emission_enc[cells],
+                              keep_encodings)
+    return SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
+                        kept_idx=kept_idx, kept_weights=kept_weights,
+                        raw_kept=raw[kept], ray_of_kept=rk,
+                        spacings_kept=spacings_kept, optical=optical,
+                        excl_prefix=excl, weights=w, t_final=t_out, static=static)
 
-    spacings_kept = table.spacings[rows_kept]
-    optical = sigma[kept] * spacings_kept
-    r_out, t_out, excl, w = composite_segments(optical, signal_kept, rk, n_rays)
-    trace = SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
-                         kept_idx=kept_idx, kept_weights=kept_weights,
-                         raw_kept=raw[kept], ray_of_kept=rk,
-                         spacings_kept=spacings_kept, optical=optical,
-                         excl_prefix=excl, weights=w, signal_kept=signal_kept,
-                         t_final=t_out, sig_cache=sig_cache)
-    return r_out, t_out, trace
+
+def signal_pass(model: FieldModel, trace: SegmentTrace, tx: np.ndarray,
+                want_cache: bool = False):
+    """The transmitter half of a render: the signal nets on a density pass's
+    kept samples for transmitter position tx, (3,) for all rays or
+    (n_rays, 3) per ray, composited with the pass's weights.
+
+    Returns (accumulated per ray, signal per kept sample, signal_forward
+    cache or None).
+    """
+    if trace.static is None:
+        signal_kept, sig_cache = np.empty(0), None
+    else:
+        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos_levels)
+        res = signal_forward(model, trace.static, enc_tx, want_cache=want_cache)
+        signal_kept, sig_cache = res if want_cache else (res, None)
+    r_out = accumulate(trace.weights, signal_kept, trace.ray_of_kept,
+                       len(trace.t_final))
+    return r_out, signal_kept, sig_cache
+
+
+def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
+                     cells: np.ndarray, tau: float, want_cache: bool = False):
+    """Render rays of a sample table with empty-space skipping: a
+    `density_pass` and one `signal_pass`.
+
+    cells picks the table ray of each rendered ray. tx is the transmitter
+    position, (3,) for all rays or (n_rays, 3) per ray. Samples with density
+    below tau are skipped; the signal nets run on the kept samples only, and
+    compositing runs on per-ray segments of them. Returns (accumulated per
+    ray, final transmittance per ray, trace).
+    """
+    trace = density_pass(model, table, cells, tau, keep_encodings=want_cache)
+    r_out, trace.signal_kept, trace.sig_cache = signal_pass(model, trace, tx,
+                                                            want_cache)
+    if trace.static is not None:
+        # spent on the one transmitter, and the adjoint does not read it
+        trace.static.x_pre = None
+    return r_out, trace.t_final, trace
 
 
 def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
@@ -381,27 +432,24 @@ class RayTrace:
         return int(self.kept.sum())
 
 
-def _render_table(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
-                  tau: float, directions: np.ndarray | None = None):
-    """Check tau and tx, build a table at the grid's default step and render
-    all of its rays with `forward_segments`; returns the table and the
-    forward's outputs."""
+def _checked_transmitters(tx, tau: float) -> np.ndarray:
+    """tx as a float array, once tau and tx pass the render checks."""
     if not tau >= 0:  # NaN too: no density would compare >= it
         raise ValueError(f"skip threshold tau must be nonnegative, got {tau}")
     tx = np.asarray(tx, dtype=np.float64)
     if not np.all(np.isfinite(tx)):
         raise ValueError("tx must be finite")
-    table = SampleTable(geometry, model, directions=directions)
-    return (table, *forward_segments(model, table, tx, np.arange(len(table.counts)),
-                                     tau))
+    return tx
 
 
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
               direction: np.ndarray, tau: float = 0.0) -> RayTrace:
     """Render one ray keeping all intermediates (for tests and diagnostics):
     `forward_segments` over a one-direction table at the grid's default step."""
+    tx = _checked_transmitters(tx, tau)
     direction = np.asarray(direction, dtype=np.float64)
-    table, r_out, t_out, trace = _render_table(model, geometry, tx, tau, direction)
+    table = SampleTable(geometry, model, directions=direction)
+    r_out, t_out, trace = forward_segments(model, table, tx, np.arange(1), tau)
     signal = np.zeros(len(table.spacings))
     signal[trace.kept] = trace.signal_kept
     return RayTrace(direction=direction, positions=table.positions,
@@ -421,6 +469,29 @@ class SpectrumTrace:
     n_kept: int
 
 
+def _render_spectra(model: FieldModel, geometry: SceneGeometry, txs, tau: float):
+    """One full-spectrum table and `density_pass` at the grid's default step,
+    then one `signal_pass` per transmitter of txs (T, 3); returns the table,
+    the density pass and the (T, M, N) spectra."""
+    txs = _checked_transmitters(txs, tau)
+    if txs.ndim != 2 or txs.shape[1] != 3:
+        raise ValueError(f"transmitters must have shape (T, 3), got {txs.shape}")
+    table = SampleTable(geometry, model)
+    trace = density_pass(model, table, np.arange(geometry.n_directions), tau)
+    spectra = np.empty((len(txs), geometry.n_directions))
+    for j, tx in enumerate(txs):
+        spectra[j] = signal_pass(model, trace, tx)[0]
+    return table, trace, spectra.reshape(len(txs), *geometry.spectrum_res)
+
+
+def render_spectra(model: FieldModel, geometry: SceneGeometry, txs: np.ndarray, *,
+                   tau: float = 0.0) -> np.ndarray:
+    """Spatial spectra for T transmitter positions (T, 3): a (T, M, N) array,
+    entry j equal to render_spectrum of txs[j]. The sampling, density and
+    every transmitter-independent term are computed once for all of them."""
+    return _render_spectra(model, geometry, txs, tau)[2]
+
+
 def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray, *,
                     tau: float = 0.0) -> np.ndarray:
     """Spatial spectrum for one transmitter position: (M, N) array with cell
@@ -431,13 +502,13 @@ def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray, 
 
 def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
                            tx: np.ndarray, *, tau: float = 0.0):
-    """render_spectrum plus per-ray transmittance and skip statistics:
-    `forward_segments` over every ray of a full-spectrum table."""
-    table, r_out, t_out, trace = _render_table(model, geometry, tx, tau)
-    spectrum = r_out.reshape(geometry.spectrum_res)
-    return spectrum, SpectrumTrace(final_transmittance=t_out,
-                                   n_samples=len(table.spacings),
-                                   n_kept=len(trace.ray_of_kept))
+    """render_spectrum plus per-ray transmittance and skip statistics: the
+    one-transmitter case of `render_spectra`."""
+    table, trace, spectra = _render_spectra(
+        model, geometry, np.asarray(tx, dtype=np.float64)[None], tau)
+    return spectra[0], SpectrumTrace(final_transmittance=trace.t_final,
+                                     n_samples=len(table.spacings),
+                                     n_kept=len(trace.ray_of_kept))
 
 
 def aggregate_rssi(spectrum: np.ndarray, calibration_db: float = 0.0) -> float:

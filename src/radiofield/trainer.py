@@ -25,7 +25,7 @@ from .renderer import (
     backward_segments,
     default_step,
     forward_segments,
-    render_spectrum,
+    render_spectra,
 )
 from .voxel_grid import upsample, voxel_edge
 
@@ -71,6 +71,8 @@ class TrainConfig:
         for name, ok, need in (
                 ("final_dims", all(d >= 2 for d in self.final_dims),
                  "at least 2 nodes per axis"),
+                ("feature_dim", self.feature_dim >= 1, "at least 1"),
+                ("mlp_width", self.mlp_width >= 1, "at least 1"),
                 ("total_iters", self.total_iters >= 0, "nonnegative"),
                 ("batch_rays", self.batch_rays >= 1, "at least 1"),
                 ("lr_grid", 0 <= self.lr_grid < math.inf, "finite and nonnegative"),
@@ -394,12 +396,14 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
                          tau: float = 1e-4) -> float:
     """Least-squares constant offset between measured RSSI and the model's
-    10*log10(total predicted power), over records carrying a measurement."""
+    10*log10(total predicted power), over records carrying a measurement;
+    their spectra are rendered together (`render_spectra`)."""
+    measured = [rec for rec in records if rec.rssi_dbm is not None]
+    spectra = render_spectra(model, geometry,
+                             np.reshape([rec.tx_position for rec in measured], (-1, 3)),
+                             tau=tau)
     residuals = []
-    for rec in records:
-        if rec.rssi_dbm is None:
-            continue
-        spectrum = render_spectrum(model, geometry, rec.tx_position, tau=tau)
+    for rec, spectrum in zip(measured, spectra):
         power = float(spectrum.sum())
         if power <= 0:
             continue

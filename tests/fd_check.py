@@ -70,16 +70,19 @@ class Difference:
     kinked: bool     # the pattern still differs at the smallest step
 
 
-def kink_aware_differences(model, evaluate, h: float, indices=None):
+def kink_aware_differences(model, evaluate, h: float, indices=None, names=None):
     """Yield one Difference per checked parameter entry.
 
     evaluate() returns (loss, branch pattern) at the model's current
-    parameters. indices(size), when given, picks the flat entries checked in
-    each tensor; every entry is checked otherwise. A difference whose pattern
-    changes is redone at h / 100, and if it still changes at h / 100**2.
+    parameters. names, when given, limits the check to those tensors.
+    indices(size), when given, picks the flat entries checked in each tensor;
+    every entry is checked otherwise. A difference whose pattern changes is
+    redone at h / 100, and if it still changes at h / 100**2.
     """
     _, base = evaluate()
     for name, p in model.parameters().items():
+        if names is not None and name not in names:
+            continue
         flat = p.reshape(-1)
         for k in (range(flat.size) if indices is None else indices(flat.size)):
             orig = flat[k]

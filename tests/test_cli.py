@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radiofield import cli
+from radiofield import cli, renderer
 from radiofield.cli import (
     _SCHEMA,
     _load_config_file,
@@ -21,6 +21,8 @@ from radiofield.cli import (
     split_indices,
 )
 from radiofield.dataio import FormatError, load_checkpoint, load_dataset, read_spectrum
+from radiofield.metrics import percentile_summary, rssi_error, ssim
+from radiofield.renderer import aggregate_rssi, render_spectrum
 from radiofield.trainer import TrainConfig
 
 
@@ -199,6 +201,8 @@ class TestMalformedInput:
         ("train", ["--trainer.lr_mlp", "nan"], "lr_mlp"),
         ("train", ["--trainer.density_bias", "nan"], "density_bias"),
         ("train", ["--trainer.total_iters", "-5"], "total_iters"),
+        ("train", ["--trainer.feature_dim", "0"], "feature_dim"),
+        ("train", ["--trainer.mlp_width", "0"], "mlp_width"),
         ("infer", ["--tau", "nan"], "tau"),
         ("eval", ["--tau", "nan"], "tau"),
         ("synth", ["--rssi-noise-db", "nan"], "rssi_noise_db"),
@@ -207,7 +211,7 @@ class TestMalformedInput:
     ], ids=["log_interval_0", "log_interval_negative", "lr_decay_negative",
             "final_dims_zero", "upsample_iter_negative", "train_tau_negative",
             "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
-            "density_bias_nan", "total_iters_negative",
+            "density_bias_nan", "total_iters_negative", "feature_dim_0", "mlp_width_0",
             "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
             "fine_step_nan"])
     def test_bad_value_is_config_error(self, pipeline, tmp_path, capsys, command,
@@ -221,6 +225,20 @@ class TestMalformedInput:
                 "synth": ["--n-tx", 1, "--res", 4, 2, "--fine-step", 0.1]}[command]
         code = run_cli(command, *base, *args, "--out", tmp_path / "out")
         assert code == 2 and field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--trainer.batch_rays", "100000000000"],
+        ["--trainer.final_dims", "100000", "100000", "100000", "--trainer.stages", "0"],
+    ], ids=["batch_rays", "final_dims"])
+    def test_unallocatable_size_is_config_error(self, pipeline, tmp_path, capsys, args):
+        # in process, at sizes far beyond any machine's memory, which numpy
+        # refuses at once: 800 GB of batch indices, a 10^15-node grid
+        _, data, _, _ = pipeline
+        code = run_cli("train", "--data", data, *TINY_TRAIN, *args,
+                       "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2 and "out of memory for the configured sizes" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_config_values_reach_train_config_unconverted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -382,6 +400,54 @@ class TestTrainInferEval:
         assert (out / "ssim.csv").read_text().startswith("tx_index,ssim")
         assert (out / "rssi_error.csv").exists()
         assert (out / "ssim_cdf.csv").exists()
+
+    def test_eval_builds_at_most_two_sample_tables(self, pipeline, tmp_path,
+                                                   monkeypatch):
+        # one for the held-out records, one for the calibration records,
+        # however many records each has
+        _, data, ckpt, _ = pipeline
+        built = []
+
+        class CountedTable(renderer.SampleTable):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(renderer, "SampleTable", CountedTable)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--split-seed", 0,
+                       "--out", tmp_path / "metrics", "--rssi") == 0
+        assert 1 <= len(built) <= 2
+
+    def test_eval_summary_matches_single_renders(self, pipeline, tmp_path):
+        # the summary recomputed from one render_spectrum per record, with the
+        # calibration as the mean residual its docstring states
+        _, data, ckpt, _ = pipeline
+        out = tmp_path / "metrics"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--split-seed", 0,
+                       "--out", out, "--rssi") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        model, _ = load_checkpoint(ckpt)
+        ds = load_dataset(data)
+        train_idx, test_idx = split_indices(len(ds.records), 0, 0.8)
+        spectra = [render_spectrum(model, ds.geometry, rec.tx_position, tau=1e-4)
+                   for rec in ds.records]
+        targets = ds.load_spectra()
+        calibration = np.mean([ds.records[i].rssi_dbm - 10 * np.log10(spectra[i].sum())
+                               for i in train_idx])
+        _, rssi_summary = rssi_error(
+            [aggregate_rssi(spectra[i], calibration) for i in test_idx],
+            [ds.records[i].rssi_dbm for i in test_idx])
+        want = {"n_test": len(test_idx), "rssi_calibration_db": calibration,
+                "ssim": percentile_summary([ssim(spectra[i], targets[i])
+                                            for i in test_idx]),
+                "rssi_error_db": rssi_summary}
+        assert summary.keys() == want.keys()
+        assert summary["n_test"] == want["n_test"]
+        assert summary["rssi_calibration_db"] == pytest.approx(calibration, rel=1e-12)
+        for key in ("ssim", "rssi_error_db"):
+            assert summary[key].keys() == want[key].keys()
+            for stat, value in want[key].items():
+                assert summary[key][stat] == pytest.approx(value, rel=1e-12), (key, stat)
 
     def test_eval_deterministic(self, pipeline):
         tmp, data, ckpt, _ = pipeline

@@ -18,6 +18,7 @@ from radiofield.renderer import (
     default_step,
     direction_from_angles,
     forward_segments,
+    render_spectra,
     render_spectrum,
     render_spectrum_traced,
     sample_rays,
@@ -419,6 +420,51 @@ class TestRenderSpectrum:
         err1 = np.abs(render(base) - ref).max()
         err2 = np.abs(render(base / 2) - ref).max()
         assert err1 >= 1.5 * err2
+
+
+class TestRenderSpectra:
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_each_spectrum_equals_its_single_render(self, tau):
+        m = smooth_model(seed=23)
+        m.density_grid.values[:] -= 7.0  # tau 1e-4 skips a third of the samples
+        geo = demo_geometry()
+        _, stats = render_spectrum_traced(m, geo, np.zeros(3), tau=1e-4)
+        assert 0 < stats.n_kept < stats.n_samples
+        txs = np.random.default_rng(24).uniform(-1.5, 1.5, (4, 3))
+        spectra = render_spectra(m, geo, txs, tau=tau)
+        assert spectra.shape == (4, 8, 4) and spectra.dtype == np.float64
+        for j, tx in enumerate(txs):
+            assert np.array_equal(spectra[j], render_spectrum(m, geo, tx, tau=tau))
+        assert not np.array_equal(spectra[0], spectra[1])
+
+    def test_matches_per_ray_reference(self):
+        m = smooth_model(seed=25)
+        geo = demo_geometry(res=(4, 2))
+        txs = np.array([[0.2, 0.2, 0.2], [-0.7, 0.4, 1.3]])
+        spectra = render_spectra(m, geo, txs, tau=0.01)
+        step = default_step(geo.bbox, m.density_grid.dims)
+        for j, tx in enumerate(txs):
+            for m_i in range(4):
+                for n_i in range(2):
+                    d = direction_from_angles(m_i, n_i, geo.spectrum_res)
+                    r, _ = reference_ray(m, geo, tx, d, step, tau=0.01)
+                    assert spectra[j, m_i, n_i] == pytest.approx(r, rel=1e-12,
+                                                                  abs=1e-15)
+
+    def test_pass_keeping_no_sample_renders_float_zeros(self):
+        m = smooth_model()
+        m.density_grid.values[:] = -1000.0
+        spectra = render_spectra(m, demo_geometry(), np.zeros((3, 3)), tau=1e-4)
+        assert spectra.shape == (3, 8, 4) and spectra.dtype == np.float64
+        assert np.all(spectra == 0.0)
+
+    @pytest.mark.parametrize("tau,bad", [(np.nan, None), (0.0, np.nan), (0.0, np.inf)])
+    def test_nan_tau_or_non_finite_transmitter_rejected(self, tau, bad):
+        txs = np.zeros((2, 3))
+        if bad is not None:
+            txs[1, 2] = bad
+        with pytest.raises(ValueError):
+            render_spectra(smooth_model(), demo_geometry(), txs, tau=tau)
 
 
 class TestAggregateRssi:

@@ -404,6 +404,46 @@ class TestEndToEndGradient:
         assert n_binding > 0.75 * n_checked, (n_binding, n_checked)
 
 
+    def test_per_ray_first_layer_columns_match_fd(self, tmp_path):
+        # Every entry of the first-layer columns that multiply a per-ray
+        # input: the transmitter columns of deform.w0 and the direction
+        # columns of radiance.w0, whose gradients gather per-ray inputs per
+        # sample. Rays share cells (5 under three transmitters) and
+        # transmitters (record 0 over three cells), with large gradients as
+        # in the test above.
+        ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))
+        rng = np.random.default_rng(9)
+        model = init_field_model(ds.geometry.bbox, (4, 4, 4), 2, 8, seed=10,
+                                 density_bias=0.0)
+        model.density_grid.values[:] = rng.normal(scale=0.5,
+                                                  size=model.density_grid.values.shape)
+        model.feature_grid.values[:] = rng.normal(scale=2.0,
+                                                  size=model.feature_grid.values.shape)
+        cache = _StageCache(ds.geometry, model, step=0.25)
+        cells = np.array([5, 5, 5, 11, 11, 2, 17, 2])
+        recs = np.array([0, 1, 2, 0, 0, 3, 3, 1])
+        grads, evaluate = pipeline_gradient(model, cache, ds.tx_positions()[recs],
+                                            cells, np.full(8, 50.0), 0.05)
+        pos_w = model.deform_net.input_width // 2
+        f = model.feature_dim
+        columns = {"deform.w0": lambda size: [k for k in range(size)
+                                              if k % (2 * pos_w) < pos_w],
+                   "radiance.w0": lambda size: [k for k in range(size)
+                                                if k % model.radiance_net.input_width >= f]}
+        n_checked = n_binding = 0
+        for name, indices in columns.items():
+            for diff in kink_aware_differences(model, evaluate, 1e-4, indices=indices,
+                                               names=(name,)):
+                assert not diff.kinked, (diff.name, diff.index, diff.step)
+                got = grads[diff.name].reshape(-1)[diff.index]
+                assert abs(got - diff.fd) <= 1e-4 * abs(diff.fd) + 1e-6, \
+                    (diff.name, diff.index, got, diff.fd)
+                n_checked += 1
+                n_binding += 1e-4 * abs(diff.fd) > 1e-6
+        assert n_checked == 8 * pos_w + 8 * (model.radiance_net.input_width - f)
+        assert n_binding > 0.75 * n_checked, (n_binding, n_checked)
+
+
 class TestNearReceiverGradientScale:
     def test_radius_from_final_voxel_edge_and_direction_count(self):
         geo = SceneGeometry(rx_position=np.array([1.75, 1.75, 1.4]),
