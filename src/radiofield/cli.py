@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .metrics import percentile_summary, rssi_error, ssim, write_cdf_csv, write_indexed_csv
 from .renderer import SceneGeometry, aggregate_rssi, render_spectra, render_spectrum
-from .trainer import NumericalError, TrainConfig, fit_rssi_calibration, train
+from .trainer import NumericalError, TrainConfig, rssi_offset, train
 from .voxel_grid import Aabb
 
 
@@ -300,19 +300,24 @@ def cmd_eval(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     targets = dataset.load_spectra()
-    predictions = render_spectra(model, geometry, dataset.tx_positions()[test_idx],
-                                 tau=tau)
+    # --rssi calibrates on the training records that carry a measurement;
+    # they are rendered in one call with the held-out records
+    calibration_idx = ([i for i in train_idx if dataset.records[i].rssi_dbm is not None]
+                       if cfg.get("run.rssi") else [])
+    spectra = render_spectra(model, geometry,
+                             dataset.tx_positions()[[*test_idx, *calibration_idx]],
+                             tau=tau)
+    predictions = spectra[:len(test_idx)]
     ssims = [ssim(predicted, targets[i]) for i, predicted in zip(test_idx, predictions)]
     write_indexed_csv(out_dir / "ssim.csv", "tx_index,ssim", ssims)
     write_cdf_csv(out_dir / "ssim_cdf.csv", ssims, value_name="ssim")
     summary = {"n_test": len(test_idx), "ssim": percentile_summary(ssims)}
 
     if cfg.get("run.rssi"):
-        train_records = [dataset.records[i] for i in train_idx
-                         if dataset.records[i].rssi_dbm is not None]
-        if not train_records:
+        if not calibration_idx:
             raise ConfigError("--rssi requires training records with rssi_dbm")
-        calibration = fit_rssi_calibration(model, geometry, train_records, tau=tau)
+        calibration = rssi_offset([dataset.records[i].rssi_dbm for i in calibration_idx],
+                                  spectra[len(test_idx):])
         preds, meas = [], []
         for i, predicted in zip(test_idx, predictions):
             rec = dataset.records[i]

@@ -199,15 +199,40 @@ class FieldModel:
         return params
 
 
+GRID_PARAM_NAMES = ("density_grid", "feature_grid")
+
+
 @dataclass
 class GradientSet:
-    """One gradient buffer per FieldModel parameter tensor."""
+    """One gradient buffer per FieldModel parameter tensor.
+
+    A set made with grid_rows (sorted node indices) holds the grid buffers on
+    those nodes only: row i of each is node grid_rows[i]. `grid_index` maps a
+    trilinear support to these rows; for a set of full-size grid buffers it is
+    the identity.
+    """
 
     buffers: dict
+    # grid buffer row of every node, or None for full-size grid buffers; a
+    # node outside grid_rows maps one past the last row, so scattering to it
+    # fails instead of landing on another node
+    node_row: np.ndarray | None = None
 
     @classmethod
-    def zeros_like(cls, model: FieldModel) -> "GradientSet":
-        return cls({name: np.zeros_like(p) for name, p in model.parameters().items()})
+    def zeros_like(cls, model: FieldModel,
+                   grid_rows: np.ndarray | None = None) -> "GradientSet":
+        params = model.parameters()
+        if grid_rows is None:
+            return cls({name: np.zeros_like(p) for name, p in params.items()})
+        node_row = np.full(model.density_grid.n_nodes, len(grid_rows), dtype=np.intp)
+        node_row[grid_rows] = np.arange(len(grid_rows))
+        return cls({name: (np.zeros((len(grid_rows),) + p.shape[1:], dtype=p.dtype)
+                           if name in GRID_PARAM_NAMES else np.zeros_like(p))
+                    for name, p in params.items()}, node_row)
+
+    def grid_index(self, idx: np.ndarray) -> np.ndarray:
+        """The grid buffer rows of the node indices idx."""
+        return idx if self.node_row is None else self.node_row[idx]
 
     def zero(self) -> None:
         """Reset every buffer to zero in place, for reuse while the parameter

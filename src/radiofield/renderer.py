@@ -377,7 +377,7 @@ def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
                       sample_scale: np.ndarray | None = None) -> None:
     """Adjoint of `forward_segments` (taken with want_cache=True): chains
     upstream dL/dR and dL/dT_K per ray back through compositing, the nets and
-    the grids, accumulating into grads.
+    the grids, accumulating into grads (at its grid rows, `grid_index`).
 
     Without sample_scale this is the exact adjoint; with it, each kept
     sample's dL/dsigma and dL/dS are multiplied by its entry before they
@@ -396,10 +396,11 @@ def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
     # signal_backward and scatter_grid_gradient are looked up on their modules
     # at call time, where profilers hook the layers
     d_raw = d_sigma * sigmoid(trace.raw_kept + model.density_bias)
-    voxel_grid.scatter_grid_gradient(trace.kept_idx, trace.kept_weights,
-                                     d_raw[:, None], grads["density_grid"])
+    rows = grads.grid_index(trace.kept_idx)
+    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_raw[:, None],
+                                     grads["density_grid"])
     d_feat = field_model.signal_backward(model, trace.sig_cache, d_signal, grads)
-    voxel_grid.scatter_grid_gradient(trace.kept_idx, trace.kept_weights, d_feat,
+    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_feat,
                                      grads["feature_grid"])
 
 

@@ -7,6 +7,11 @@ every spectrum direction, which also caches every sample's position encoding,
 and an upsample event renews only the table's trilinear support; each
 iteration renders its (transmitter, direction-cell) rays from that table with
 `forward_segments` and backpropagates with `backward_segments`.
+
+Only grid nodes in the table's support (its reached rows, `grid_rows`) can
+get a gradient, so the grid gradients and grid Adam moments of a stage live on
+those rows alone, and the other nodes are never updated: with zero gradient
+and zero moments their dense Adam update would be exactly zero.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset
-from .field_model import FieldModel, GradientSet, init_field_model, positional_encode
+from .field_model import (
+    GRID_PARAM_NAMES,
+    FieldModel,
+    GradientSet,
+    init_field_model,
+    positional_encode,
+)
 from .objectives import LossReport, background_entropy, spectrum_mse, total_loss
 from .renderer import (
     SampleTable,
@@ -28,8 +39,6 @@ from .renderer import (
     render_spectra,
 )
 from .voxel_grid import upsample, voxel_edge
-
-GRID_PARAM_NAMES = ("density_grid", "feature_grid")
 
 
 class NumericalError(RuntimeError):
@@ -236,6 +245,18 @@ def _split_params(model: FieldModel):
     return grid, mlp
 
 
+def _rows_of(params: dict, rows: np.ndarray) -> dict:
+    """Copies of the given rows of each parameter tensor."""
+    return {k: p[rows] for k, p in params.items()}
+
+
+def _reached_nodes(idx: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sorted node indices occurring in a trilinear support idx."""
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[idx] = True
+    return np.flatnonzero(reached)
+
+
 def near_receiver_radius(geometry: SceneGeometry, final_dims) -> float:
     """Distance from the receiver at which neighbouring ray directions are one
     final voxel apart: edge * sqrt(n_directions / 2 pi).
@@ -254,9 +275,11 @@ class _StageCache(SampleTable):
     `resupport` it after the grids are resampled.
 
     Every iteration gathers its batch from this table, so it also caches
-    every sample's position encoding. With grad_radius r0 given, grad_scale
-    holds each sample's training gradient scale min(1, (r / r0)^2), r its
-    distance from the receiver; without it grad_scale is None.
+    every sample's position encoding. grid_rows holds the sorted grid nodes of
+    the table's support, the only nodes a training gradient can reach. With
+    grad_radius r0 given, grad_scale holds each sample's training gradient
+    scale min(1, (r / r0)^2), r its distance from the receiver; without it
+    grad_scale is None.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
@@ -268,6 +291,10 @@ class _StageCache(SampleTable):
         if grad_radius is not None:
             r = np.linalg.norm(self.positions - geometry.rx_position, axis=1)
             self.grad_scale = np.minimum(1.0, (r / grad_radius) ** 2)
+
+    def resupport(self, model: FieldModel) -> None:
+        super().resupport(model)
+        self.grid_rows = _reached_nodes(self.idx, model.density_grid.n_nodes)
 
 
 # The batch forward and adjoint are the ray engine's; train() calls them by
@@ -302,6 +329,13 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     changed); MLP moments persist. Gradients accumulate into one GradientSet
     per stage, zeroed in place before every backward pass.
 
+    The grid gradients and grid Adam moments of a stage cover only its
+    reached rows, the grid nodes in the stage table's trilinear support
+    (`_StageCache.grid_rows`); each step gathers the grids' reached rows,
+    applies Adam to them and writes them back. Nodes no ray reaches are never
+    updated, which is exactly the dense update: their gradient and moments
+    would stay zero, and so would their Adam step.
+
     Every ray starts at the receiver, so the nodes next to it are crossed by
     all directions and can fit direction-dependent attenuation as sub-voxel
     density structure, which resampling onto the next, non-coinciding lattice
@@ -332,15 +366,15 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
         enc_dir_levels=config.enc_dir_levels)
     model.deform_enabled = config.deform_enabled
 
-    grid_params, mlp_params = _split_params(model)
-    adam_grid = AdamState.for_params(grid_params)
-    adam_mlp = AdamState.for_params(mlp_params)
     # a quarter of the final voxel edge in every stage, so upsample events
     # change only the representation, not the quadrature
     step = default_step(geometry.bbox, config.final_dims)
     cache = _StageCache(geometry, model, step,
                         near_receiver_radius(geometry, config.final_dims))
-    grads = GradientSet.zeros_like(model)
+    grid_params, mlp_params = _split_params(model)
+    adam_grid = AdamState.for_params(_rows_of(grid_params, cache.grid_rows))
+    adam_mlp = AdamState.for_params(mlp_params)
+    grads = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
     upsample_at = {it: s + 1 for s, it in enumerate(config.upsample_iters)}
 
     rng = np.random.default_rng(config.seed)
@@ -354,10 +388,10 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
             new_dims = progressive_dims(config.final_dims, stage, config.stages)
             model.density_grid = upsample(model.density_grid, new_dims)
             model.feature_grid = upsample(model.feature_grid, new_dims)
-            grid_params, mlp_params = _split_params(model)
-            adam_grid = AdamState.for_params(grid_params)
-            grads = GradientSet.zeros_like(model)
             cache.resupport(model)
+            grid_params, mlp_params = _split_params(model)
+            adam_grid = AdamState.for_params(_rows_of(grid_params, cache.grid_rows))
+            grads = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
             after = (_eval_loss(model, cache, config, *eval_rays)
                      if eval_rays is not None else None)
             events.append({"iteration": it, "stage": stage, "dims": new_dims,
@@ -380,7 +414,10 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
                      config.lr_decay_target_fraction)
         lr_m = lr_at(it, config.lr_mlp, config.total_iters,
                      config.lr_decay_target_fraction)
-        adam_step(grid_params, grads, adam_grid, lr_g)
+        grid_at_rows = _rows_of(grid_params, cache.grid_rows)
+        adam_step(grid_at_rows, grads, adam_grid, lr_g)
+        for name, p in grid_params.items():
+            p[cache.grid_rows] = grid_at_rows[name]
         adam_step(mlp_params, grads, adam_mlp, lr_m)
 
         if it % config.log_interval == 0 or it == config.total_iters - 1:
@@ -402,12 +439,19 @@ def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
     spectra = render_spectra(model, geometry,
                              np.reshape([rec.tx_position for rec in measured], (-1, 3)),
                              tau=tau)
+    return rssi_offset([rec.rssi_dbm for rec in measured], spectra)
+
+
+def rssi_offset(measured_dbm, spectra) -> float:
+    """The `fit_rssi_calibration` offset from rendered spectra: the mean of
+    measured RSSI minus 10*log10(total power), over spectra with positive
+    power."""
     residuals = []
-    for rec, spectrum in zip(measured, spectra):
+    for rssi_dbm, spectrum in zip(measured_dbm, spectra):
         power = float(spectrum.sum())
         if power <= 0:
             continue
-        residuals.append(rec.rssi_dbm - 10.0 * np.log10(power))
+        residuals.append(rssi_dbm - 10.0 * np.log10(power))
     if not residuals:
         raise ValueError("no records with measured RSSI and positive predicted power")
     return float(np.mean(residuals))

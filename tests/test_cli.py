@@ -418,6 +418,21 @@ class TestTrainInferEval:
                        "--out", tmp_path / "metrics", "--rssi") == 0
         assert 1 <= len(built) <= 2
 
+    def test_eval_builds_one_sample_table(self, pipeline, tmp_path, monkeypatch):
+        # the held-out and the calibration records share one render
+        _, data, ckpt, _ = pipeline
+        built = []
+
+        class CountedTable(renderer.SampleTable):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(renderer, "SampleTable", CountedTable)
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", data, "--split-seed", 0,
+                       "--out", tmp_path / "metrics", "--rssi") == 0
+        assert len(built) == 1
+
     def test_eval_summary_matches_single_renders(self, pipeline, tmp_path):
         # the summary recomputed from one render_spectrum per record, with the
         # calibration as the mean residual its docstring states

@@ -343,6 +343,163 @@ class TestTrainLoop:
             assert np.array_equal(params_new[name], params_ref[name]), name
         assert params_new["density_grid"].shape == (1000, 1)
 
+    def test_reached_rows_match_dense_update_end_to_end(self, tmp_path,
+                                                        monkeypatch):
+        # grids trained on their reached rows only against the same run with
+        # every node counted as reached, over three upsample events; nodes
+        # below the receiver are never reached, so each stage's rows are a
+        # strict subset of its nodes
+        ds = small_dataset(tmp_path, n_tx=6, res=(8, 3))
+        cfg = smoke_config(final_dims=(12, 12, 12), stages=3,
+                           upsample_iters=(5, 10, 15), total_iters=20,
+                           log_interval=1, tau=1e-4)
+        rng = np.random.default_rng(0)
+        cells = rng.integers(0, 24, 16)
+        recs = rng.integers(0, len(ds.records), 16)
+        eval_rays = (ds.tx_positions()[recs], cells,
+                     ds.load_spectra().reshape(len(ds.records), -1)[recs, cells])
+        reached = []
+        original = trainer._reached_nodes
+
+        def counting(idx, n_nodes):
+            rows = original(idx, n_nodes)
+            reached.append((len(rows), n_nodes))
+            return rows
+
+        runs = []
+        for every_node in (False, True):
+            if every_node:
+                monkeypatch.setattr(trainer, "_reached_nodes",
+                                    lambda idx, n_nodes: np.arange(n_nodes))
+            else:
+                monkeypatch.setattr(trainer, "_reached_nodes", counting)
+            lines = []
+            result = train(ds, cfg, log_fn=lines.append, eval_rays=eval_rays)
+            runs.append((lines, result.upsample_events, result.model.parameters()))
+        assert len(reached) == 4
+        assert all(0 < n_rows < n_nodes for n_rows, n_nodes in reached), reached
+        (lines_rows, events_rows, params_rows), (lines_all, events_all, params_all) = runs
+        assert len(lines_rows) == cfg.total_iters
+        assert lines_rows == lines_all
+        assert events_rows == events_all
+        assert all(e["loss_before"] is not None for e in events_rows)
+        assert params_rows.keys() == params_all.keys()
+        for name in params_rows:
+            assert np.array_equal(params_rows[name], params_all[name]), name
+
+
+def capture_stage_cache(monkeypatch) -> list:
+    """Patch train()'s stage table constructor to record the tables it builds."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(_StageCache(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(trainer, "_StageCache", recording)
+    return built
+
+
+class TestReachedRows:
+    def test_grid_rows_are_the_support_union(self, tmp_path):
+        ds = small_dataset(tmp_path, n_tx=2, res=(8, 3))
+        model = init_field_model(ds.geometry.bbox, (6, 7, 8), 4, 16, seed=5)
+        cache = _StageCache(ds.geometry, model, default_step(ds.geometry.bbox,
+                                                             (12, 12, 12)))
+        for dims in ((6, 7, 8), (9, 10, 12)):
+            if dims != model.density_grid.dims:
+                model.density_grid = voxel_grid.upsample(model.density_grid, dims)
+                model.feature_grid = voxel_grid.upsample(model.feature_grid, dims)
+                cache.resupport(model)
+            union = sorted(set(cache.idx.ravel().tolist()))
+            assert cache.grid_rows.tolist() == union, dims
+            assert len(union) < model.density_grid.n_nodes
+
+    def test_compact_set_scatters_like_a_dense_one(self, tmp_path):
+        ds = small_dataset(tmp_path, n_tx=3, res=(8, 4))
+        rng = np.random.default_rng(2)
+        model = init_field_model(ds.geometry.bbox, (6, 6, 6), 2, 8, seed=1)
+        model.density_grid.values[:] = rng.normal(size=model.density_grid.values.shape)
+        model.feature_grid.values[:] = rng.normal(size=model.feature_grid.values.shape)
+        cache = _StageCache(ds.geometry, model, step=0.1)
+        _, _, trace = _forward_batch(model, cache, ds.tx_positions()[[0, 1, 2, 0]],
+                                     np.array([1, 7, 20, 31]), tau=0.0,
+                                     want_cache=True)
+        d_r, d_t = rng.normal(size=4), rng.normal(size=4)
+        dense = GradientSet.zeros_like(model)
+        rows = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
+        for grads in (dense, rows):
+            _backward_batch(model, trace, d_r, d_t, grads)
+        for name in dense.buffers:
+            if name in trainer.GRID_PARAM_NAMES:
+                assert rows[name].shape == (len(cache.grid_rows),) + dense[name].shape[1:]
+                assert np.array_equal(rows[name], dense[name][cache.grid_rows]), name
+                unreached = np.ones(len(dense[name]), dtype=bool)
+                unreached[cache.grid_rows] = False
+                assert unreached.any() and np.all(dense[name][unreached] == 0.0)
+            else:
+                assert np.array_equal(rows[name], dense[name]), name
+
+    def test_grid_gradients_and_moments_cover_reached_rows(self, tmp_path,
+                                                           monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
+        built = capture_stage_cache(monkeypatch)
+        checked = []
+        original = trainer.adam_step
+
+        def spy(params, grads, state, lr):
+            if "density_grid" in params:
+                rows = len(built[0].grid_rows)
+                for name in trainer.GRID_PARAM_NAMES:
+                    for array in (params[name], grads[name], state.m[name],
+                                  state.v[name]):
+                        assert array.shape[0] == rows, name
+                checked.append(rows)
+            return original(params, grads, state, lr)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        train(ds, smoke_config(final_dims=(10, 10, 10), stages=2,
+                               upsample_iters=(2, 4), total_iters=6))
+        assert len(checked) == 6 and checked[1] < checked[2] < checked[4]
+
+    def test_unreached_nodes_keep_their_post_upsample_values(self, tmp_path,
+                                                             monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=4, res=(8, 3))
+        built = capture_stage_cache(monkeypatch)
+        upsampled = []
+        original = trainer.upsample
+
+        def recording(grid, new_dims):
+            out = original(grid, new_dims)
+            upsampled.append(out.values.copy())
+            return out
+
+        monkeypatch.setattr(trainer, "upsample", recording)
+        result = train(ds, smoke_config(final_dims=(12, 12, 12), stages=2,
+                                        upsample_iters=(10, 20), total_iters=40,
+                                        tau=1e-4))
+        final = result.model.parameters()
+        unreached = np.ones(result.model.density_grid.n_nodes, dtype=bool)
+        unreached[built[0].grid_rows] = False
+        assert unreached.any()
+        for name, start in zip(("density_grid", "feature_grid"), upsampled[-2:]):
+            assert np.array_equal(final[name][unreached], start[unreached]), name
+            assert np.any(final[name][~unreached] != start[~unreached]), name
+
+    def test_nan_in_compact_grid_gradient_names_tensor(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
+        original = trainer._backward_batch
+        n_nodes = 16 ** 3
+
+        def poisoned(model, trace, d_r, d_t, grads, sample_scale=None):
+            original(model, trace, d_r, d_t, grads, sample_scale=sample_scale)
+            assert len(grads["feature_grid"]) < n_nodes
+            grads["feature_grid"][-1, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "_backward_batch", poisoned)
+        with pytest.raises(NumericalError, match="'feature_grid'"):
+            train(ds, smoke_config(total_iters=3))
+
 
 class TestEndToEndGradient:
     def test_pipeline_gradient_matches_fd(self, tmp_path):
