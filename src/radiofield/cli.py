@@ -309,7 +309,7 @@ def cmd_eval(cfg: dict) -> int:
                              tau=tau)
     predictions = spectra[:len(test_idx)]
     ssims = [ssim(predicted, targets[i]) for i, predicted in zip(test_idx, predictions)]
-    write_indexed_csv(out_dir / "ssim.csv", "tx_index,ssim", ssims)
+    write_indexed_csv(out_dir / "ssim.csv", "tx_index,ssim", test_idx, ssims)
     write_cdf_csv(out_dir / "ssim_cdf.csv", ssims, value_name="ssim")
     summary = {"n_test": len(test_idx), "ssim": percentile_summary(ssims)}
 
@@ -318,18 +318,15 @@ def cmd_eval(cfg: dict) -> int:
             raise ConfigError("--rssi requires training records with rssi_dbm")
         calibration = rssi_offset([dataset.records[i].rssi_dbm for i in calibration_idx],
                                   spectra[len(test_idx):])
-        preds, meas = [], []
-        for i, predicted in zip(test_idx, predictions):
-            rec = dataset.records[i]
-            if rec.rssi_dbm is None:
-                continue
-            preds.append(aggregate_rssi(predicted, calibration))
-            meas.append(rec.rssi_dbm)
-        if not preds:
+        measured = [(i, predicted) for i, predicted in zip(test_idx, predictions)
+                    if dataset.records[i].rssi_dbm is not None]
+        if not measured:
             raise ConfigError("no held-out records carry rssi_dbm")
-        errors, err_summary = rssi_error(preds, meas)
+        errors, err_summary = rssi_error(
+            [aggregate_rssi(predicted, calibration) for _, predicted in measured],
+            [dataset.records[i].rssi_dbm for i, _ in measured])
         write_indexed_csv(out_dir / "rssi_error.csv", "record_index,rssi_error_db",
-                          errors)
+                          [i for i, _ in measured], errors)
         write_cdf_csv(out_dir / "rssi_error_cdf.csv", errors,
                       value_name="rssi_error_db")
         summary["rssi_error_db"] = err_summary

@@ -80,11 +80,11 @@ def rssi_error(predicted_db, measured_db):
     return errors, percentile_summary(errors)
 
 
-def write_indexed_csv(path, header: str, values) -> None:
-    """Two-column CSV of (index, value), e.g. tx_index,ssim."""
+def write_indexed_csv(path, header: str, indices, values) -> None:
+    """Two-column CSV of (index, value) rows, e.g. tx_index,ssim."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i, v in enumerate(np.asarray(values, dtype=np.float64)):
+        for i, v in zip(indices, np.asarray(values, dtype=np.float64), strict=True):
             fh.write(f"{i},{v:.10g}\n")
 
 

@@ -10,8 +10,9 @@ iteration renders its (transmitter, direction-cell) rays from that table with
 
 Only grid nodes in the table's support (its reached rows, `grid_rows`) can
 get a gradient, so the grid gradients and grid Adam moments of a stage live on
-those rows alone, and the other nodes are never updated: with zero gradient
-and zero moments their dense Adam update would be exactly zero.
+those rows alone, Adam updates those rows of the grids in place, and the other
+nodes are never updated: with zero gradient and zero moments their dense Adam
+update would be exactly zero.
 """
 
 from __future__ import annotations
@@ -163,17 +164,23 @@ def _blocks(shape) -> list:
     return [slice(i, i + rows) for i in range(0, max(1, shape[0]), rows)]
 
 
-def adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
+def adam_step(params: dict, grads, state: AdamState, lr: float,
+              rows: np.ndarray | None = None) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter arrays.
 
     grads maps every parameter name to an array of its shape (a dict or a
-    GradientSet). Each tensor is walked in cache-sized blocks along its
-    leading axis, through two block-sized scratch buffers, with the per-element
+    GradientSet), and state holds moments of the same shapes. With rows (node
+    indices along every parameter's leading axis), gradients and moments cover
+    those rows only, row i being parameter row rows[i], and no other row is
+    touched. Each tensor is walked in cache-sized blocks along its leading
+    axis, through two block-sized scratch buffers, with the per-element
     arithmetic of the dense update m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so the
-    result is bit-identical to it without any tensor-sized temporary. A
-    tensor's gradient is checked finite in full before that tensor is touched;
-    tensors earlier in params order have then already been updated.
+    result is bit-identical to it without any tensor-sized temporary; with
+    rows, each block gathers its parameter rows into a scratch buffer and
+    writes them back. A tensor's gradient is checked finite in full before
+    that tensor is touched; tensors earlier in params order have then already
+    been updated.
     """
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -181,21 +188,21 @@ def adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{p.shape} for {name!r}")
-        blocks = _blocks(p.shape)
+        want = p.shape if rows is None else (len(rows),) + p.shape[1:]
+        if g.shape != want:
+            raise ValueError(f"gradient shape {g.shape} != expected {want} for {name!r}")
+        blocks = _blocks(g.shape)
         if not all(np.isfinite(g[s]).all() for s in blocks):
             raise NumericalError(f"non-finite gradient in tensor {name!r}")
         m = state.m[name]
         v = state.v[name]
-        scratch_a = np.empty_like(p[blocks[0]])
+        scratch_a = np.empty(g[blocks[0]].shape, dtype=p.dtype)
         scratch_b = np.empty_like(scratch_a)
         for s in blocks:
-            pb, gb, mb, vb = p[s], g[s], m[s], v[s]
+            gb, mb, vb = g[s], m[s], v[s]
             a, b = scratch_a, scratch_b
-            if pb.shape != a.shape:  # the last, partial block
-                a, b = a[:len(pb)], b[:len(pb)]
+            if gb.shape != a.shape:  # the last, partial block
+                a, b = a[:len(gb)], b[:len(gb)]
             mb *= b1
             np.multiply(1.0 - b1, gb, out=a)
             mb += a
@@ -209,7 +216,11 @@ def adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
             np.sqrt(b, out=b)
             b += eps
             a /= b
+            # b is free again; with rows it takes the block's parameter rows
+            pb = p[s] if rows is None else np.take(p, rows[s], axis=0, out=b)
             pb -= a
+            if rows is not None:
+                p[rows[s]] = pb
     return state
 
 
@@ -238,16 +249,12 @@ def progressive_dims(final_dims, stage: int, m_stages: int) -> tuple:
     return tuple(min(max(2, round(d * ratio)), d) for d in final_dims)
 
 
-def _split_params(model: FieldModel):
-    params = model.parameters()
-    grid = {k: v for k, v in params.items() if k in GRID_PARAM_NAMES}
-    mlp = {k: v for k, v in params.items() if k not in GRID_PARAM_NAMES}
-    return grid, mlp
-
-
-def _rows_of(params: dict, rows: np.ndarray) -> dict:
-    """Copies of the given rows of each parameter tensor."""
-    return {k: p[rows] for k, p in params.items()}
+def _grid_stage(model: FieldModel, rows: np.ndarray):
+    """A stage's grid parameters, its zeroed GradientSet and fresh grid Adam
+    state; the grid gradients and moments cover the reached rows only."""
+    grads = GradientSet.zeros_like(model, grid_rows=rows)
+    grid_params = {k: model.parameters()[k] for k in GRID_PARAM_NAMES}
+    return grid_params, grads, AdamState.for_params({k: grads[k] for k in grid_params})
 
 
 def _reached_nodes(idx: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -276,10 +283,10 @@ class _StageCache(SampleTable):
 
     Every iteration gathers its batch from this table, so it also caches
     every sample's position encoding. grid_rows holds the sorted grid nodes of
-    the table's support, the only nodes a training gradient can reach. With
-    grad_radius r0 given, grad_scale holds each sample's training gradient
-    scale min(1, (r / r0)^2), r its distance from the receiver; without it
-    grad_scale is None.
+    the table's support, the only nodes a training gradient can reach and the
+    only grid rows Adam updates. With grad_radius r0 given, grad_scale holds
+    each sample's training gradient scale min(1, (r / r0)^2), r its distance
+    from the receiver; without it grad_scale is None.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
@@ -331,8 +338,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 
     The grid gradients and grid Adam moments of a stage cover only its
     reached rows, the grid nodes in the stage table's trilinear support
-    (`_StageCache.grid_rows`); each step gathers the grids' reached rows,
-    applies Adam to them and writes them back. Nodes no ray reaches are never
+    (`_StageCache.grid_rows`), and each step's Adam update touches only
+    those rows of the grids, in place. Nodes no ray reaches are never
     updated, which is exactly the dense update: their gradient and moments
     would stay zero, and so would their Adam step.
 
@@ -371,10 +378,9 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     step = default_step(geometry.bbox, config.final_dims)
     cache = _StageCache(geometry, model, step,
                         near_receiver_radius(geometry, config.final_dims))
-    grid_params, mlp_params = _split_params(model)
-    adam_grid = AdamState.for_params(_rows_of(grid_params, cache.grid_rows))
+    grid_params, grads, adam_grid = _grid_stage(model, cache.grid_rows)
+    mlp_params = {k: p for k, p in model.parameters().items() if k not in grid_params}
     adam_mlp = AdamState.for_params(mlp_params)
-    grads = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
     upsample_at = {it: s + 1 for s, it in enumerate(config.upsample_iters)}
 
     rng = np.random.default_rng(config.seed)
@@ -389,9 +395,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
             model.density_grid = upsample(model.density_grid, new_dims)
             model.feature_grid = upsample(model.feature_grid, new_dims)
             cache.resupport(model)
-            grid_params, mlp_params = _split_params(model)
-            adam_grid = AdamState.for_params(_rows_of(grid_params, cache.grid_rows))
-            grads = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
+            grid_params, grads, adam_grid = _grid_stage(model, cache.grid_rows)
             after = (_eval_loss(model, cache, config, *eval_rays)
                      if eval_rays is not None else None)
             events.append({"iteration": it, "stage": stage, "dims": new_dims,
@@ -414,10 +418,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
                      config.lr_decay_target_fraction)
         lr_m = lr_at(it, config.lr_mlp, config.total_iters,
                      config.lr_decay_target_fraction)
-        grid_at_rows = _rows_of(grid_params, cache.grid_rows)
-        adam_step(grid_at_rows, grads, adam_grid, lr_g)
-        for name, p in grid_params.items():
-            p[cache.grid_rows] = grid_at_rows[name]
+        adam_step(grid_params, grads, adam_grid, lr_g, rows=cache.grid_rows)
         adam_step(mlp_params, grads, adam_mlp, lr_m)
 
         if it % config.log_interval == 0 or it == config.total_iters - 1:

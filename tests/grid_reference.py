@@ -1,8 +1,10 @@
 """Dense reference forms of the grid-sized training steps.
 
 `reference_adam_step` applies Adam to whole tensors with one numpy expression
-per moment and one for the update; `reference_scatter_grid_gradient` bincounts
-one channel at a time and adds each count into its column of the gradient.
+per moment and one for the update; given rows, it updates a gathered copy of
+those rows of each parameter and writes the copy back.
+`reference_scatter_grid_gradient` bincounts one channel at a time and adds
+each count into its column of the gradient.
 The production `trainer.adam_step` (blocked, scratch buffers) and
 `voxel_grid.scatter_grid_gradient` (row-contiguous buffer) must match them bit
 for bit; tests compare against them and can substitute them into `train()`.
@@ -15,7 +17,14 @@ import numpy as np
 from radiofield.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericalError
 
 
-def reference_adam_step(params: dict, grads, state: AdamState, lr: float) -> AdamState:
+def reference_adam_step(params: dict, grads, state: AdamState, lr: float,
+                        rows=None) -> AdamState:
+    if rows is not None:
+        gathered = {name: p[rows] for name, p in params.items()}
+        reference_adam_step(gathered, grads, state, lr)
+        for name, p in params.items():
+            p[rows] = gathered[name]
+        return state
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t

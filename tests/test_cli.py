@@ -397,9 +397,15 @@ class TestTrainInferEval:
         summary = json.loads((out / "summary.json").read_text())
         assert {"p25", "median", "p75"} <= set(summary["ssim"])
         assert summary["n_test"] == 2
-        assert (out / "ssim.csv").read_text().startswith("tx_index,ssim")
-        assert (out / "rssi_error.csv").exists()
         assert (out / "ssim_cdf.csv").exists()
+        # each row names its dataset record, not its position among the rows
+        _, test_idx = split_indices(10, 0, 0.8)
+        assert test_idx.tolist() != list(range(len(test_idx)))
+        for name, header in (("ssim.csv", "tx_index,ssim"),
+                             ("rssi_error.csv", "record_index,rssi_error_db")):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header
+            assert [int(line.split(",")[0]) for line in lines[1:]] == test_idx.tolist()
 
     def test_eval_builds_at_most_two_sample_tables(self, pipeline, tmp_path,
                                                    monkeypatch):

@@ -119,9 +119,11 @@ class TestRssiError:
 class TestCsvWriters:
     def test_indexed_csv(self, tmp_path):
         path = tmp_path / "ssim.csv"
-        write_indexed_csv(path, "tx_index,ssim", [0.5, 0.25])
+        write_indexed_csv(path, "tx_index,ssim", [7, 2], [0.5, 0.25])
         lines = path.read_text().splitlines()
-        assert lines == ["tx_index,ssim", "0,0.5", "1,0.25"]
+        assert lines == ["tx_index,ssim", "7,0.5", "2,0.25"]
+        with pytest.raises(ValueError):
+            write_indexed_csv(path, "tx_index,ssim", [7], [0.5, 0.25])
 
     def test_cdf_csv(self, tmp_path):
         path = tmp_path / "cdf.csv"

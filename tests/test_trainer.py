@@ -130,6 +130,52 @@ class TestAdam:
             assert np.array_equal(s_new.v[k], s_ref.v[k]), k
         assert s_new.t == s_ref.t == 4
 
+    def test_row_update_matches_gathered_reference(self):
+        # random rows spanning three full blocks and a partial one; the other
+        # rows of each parameter must keep their values exactly
+        block = trainer._ADAM_BLOCK
+        rng = np.random.default_rng(9)
+        n_nodes, channels = 3 * block, 3
+        rows = np.sort(rng.choice(n_nodes, size=3 * (block // channels) + 17,
+                                  replace=False))
+        assert len(trainer._blocks((len(rows), channels))) == 4
+        init = {"density_grid": rng.normal(size=(n_nodes, 1)),
+                "feature_grid": rng.normal(size=(n_nodes, channels))}
+        sides = []
+        for step in (adam_step, reference_adam_step):
+            params = {k: v.copy() for k, v in init.items()}
+            state = AdamState.for_params({k: p[rows] for k, p in params.items()})
+            draw = np.random.default_rng(10)
+            for lr in (0.1, 0.02, 1e-3):
+                grads = {k: draw.normal(size=(len(rows),) + p.shape[1:])
+                         for k, p in init.items()}
+                step(params, grads, state, lr, rows=rows)
+            sides.append((params, state))
+        (p_new, s_new), (p_ref, s_ref) = sides
+        untouched = np.ones(n_nodes, dtype=bool)
+        untouched[rows] = False
+        for k, start in init.items():
+            assert np.array_equal(p_new[k], p_ref[k]), k
+            assert np.array_equal(s_new.m[k], s_ref.m[k]), k
+            assert np.array_equal(s_new.v[k], s_ref.v[k]), k
+            assert np.array_equal(p_new[k][untouched], start[untouched]), k
+            assert np.all(p_new[k][rows] != start[rows]), k
+        assert s_new.t == s_ref.t == 3
+
+    def test_row_update_rejects_bad_gradients_naming_tensor(self):
+        rows = np.array([1, 4, 6])
+        params = {"density_grid": np.ones((8, 1)), "feature_grid": np.ones((8, 2))}
+        state = AdamState.for_params({k: p[rows] for k, p in params.items()})
+        full = {k: np.zeros_like(p) for k, p in params.items()}
+        with pytest.raises(ValueError, match="'density_grid'"):
+            adam_step(params, full, state, lr=0.1, rows=rows)
+        grads = {k: np.ones((3,) + p.shape[1:]) for k, p in params.items()}
+        grads["feature_grid"][2, 1] = np.nan
+        with pytest.raises(NumericalError, match="'feature_grid'"):
+            adam_step(params, grads, state, lr=0.1, rows=rows)
+        assert np.all(params["feature_grid"] == 1.0)
+        assert np.all(state.m["feature_grid"] == 0.0)
+
     def test_blocks_of_a_strided_parameter_are_views(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=(trainer._ADAM_BLOCK // 2 + 3, 4))
@@ -156,18 +202,21 @@ class TestAdam:
         assert np.all(params["first"] < 1.0)  # earlier tensors are already updated
 
     def test_allocates_far_less_than_one_tensor(self):
-        rng = np.random.default_rng(8)
-        params = {"feature_grid": rng.normal(size=(48 ** 3, 9))}
-        grads = {"feature_grid": rng.normal(size=(48 ** 3, 9))}
-        state = AdamState.for_params(params)
-        adam_step(params, grads, state, lr=0.1)
-        tracemalloc.start()
-        try:
-            adam_step(params, grads, state, lr=0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < params["feature_grid"].nbytes / 16
+        # dense, and on every other row as train() updates its reached rows
+        n = 48 ** 3
+        for rows in (None, np.arange(0, n, 2)):
+            rng = np.random.default_rng(8)
+            params = {"feature_grid": rng.normal(size=(n, 9))}
+            grads = {"feature_grid": rng.normal(size=(n if rows is None else len(rows), 9))}
+            state = AdamState.for_params(grads)
+            adam_step(params, grads, state, lr=0.1, rows=rows)
+            tracemalloc.start()
+            try:
+                adam_step(params, grads, state, lr=0.1, rows=rows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < params["feature_grid"].nbytes / 16, rows is not None
 
 
 class TestLrSchedule:
@@ -447,15 +496,18 @@ class TestReachedRows:
         checked = []
         original = trainer.adam_step
 
-        def spy(params, grads, state, lr):
+        def spy(params, grads, state, lr, rows=None):
             if "density_grid" in params:
-                rows = len(built[0].grid_rows)
+                assert np.array_equal(rows, built[0].grid_rows)
+                n_nodes = len(params["density_grid"])
                 for name in trainer.GRID_PARAM_NAMES:
-                    for array in (params[name], grads[name], state.m[name],
-                                  state.v[name]):
-                        assert array.shape[0] == rows, name
-                checked.append(rows)
-            return original(params, grads, state, lr)
+                    assert params[name].shape[0] == n_nodes, name
+                    for array in (grads[name], state.m[name], state.v[name]):
+                        assert array.shape[0] == len(rows) < n_nodes, name
+                checked.append(len(rows))
+            else:
+                assert rows is None
+            return original(params, grads, state, lr, rows=rows)
 
         monkeypatch.setattr(trainer, "adam_step", spy)
         train(ds, smoke_config(final_dims=(10, 10, 10), stages=2,
