@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field_model import FieldModel, Mlp
+from .field_model import NET_ACTIVATIONS, FieldModel
 from .renderer import SceneGeometry, all_directions
 from .voxel_grid import Aabb, VoxelGrid
 
@@ -28,11 +28,6 @@ CHECKPOINT_MAGIC = b"VXCK"
 CHECKPOINT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SPECTRUM_RES = (36, 9)  # of the built-in scenes and scene files without one
-# the nets' fixed activations (field_model.Mlp), as checkpoint metadata records them
-NET_ACTIVATIONS = {"deform_hidden_activation": "relu",
-                   "deform_output_activation": "identity",
-                   "radiance_hidden_activation": "relu",
-                   "radiance_output_activation": "sigmoid"}
 
 
 class FormatError(ValueError):
@@ -536,17 +531,6 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: tensor {name!r} has shape "
                               f"{tensors[name].shape}, expected {want}")
 
-    def build_mlp(tag):
-        weights, biases = [], []
-        i = 0
-        while f"{tag}.w{i}" in tensors:
-            weights.append(tensors[f"{tag}.w{i}"])
-            biases.append(tensors[f"{tag}.b{i}"])
-            i += 1
-        if not weights:
-            raise ValueError(f"no layers found for network {tag!r}")
-        return Mlp(weights=weights, biases=biases)
-
     with _fields_of(path):
         for key, act in NET_ACTIVATIONS.items():
             if meta[key] != act:
@@ -556,8 +540,8 @@ def load_checkpoint(path):
                                    values=tensors["density_grid"]),
             feature_grid=VoxelGrid(dims=dims, channels=feature_dim, bbox=bbox,
                                    values=tensors["feature_grid"]),
-            deform_net=build_mlp("deform"),
-            radiance_net=build_mlp("radiance"),
+            deform_net=FieldModel.net_from_parameters(tensors, "deform"),
+            radiance_net=FieldModel.net_from_parameters(tensors, "radiance"),
             enc_pos_levels=int(meta["enc_pos_levels"]),
             enc_dir_levels=int(meta["enc_dir_levels"]),
             density_bias=density_bias,

@@ -36,15 +36,16 @@ def positional_encode(p: np.ndarray, levels: int) -> np.ndarray:
     """Sinusoidal encoding (sin(2^l pi p), cos(2^l pi p)) for l = 0..levels-1.
 
     Applied independently to each input component; the raw components are not
-    passed through. A (D,) input yields (2*L*D,), an (N, D) batch (N, 2*L*D);
-    layout is component-major, then level, with sin before cos.
+    passed through. A (D,) input yields (2*L*D,), an (N, D) batch (N, 2*L*D)
+    for any N >= 0; layout is component-major, then level, sin before cos.
     """
     arr = np.asarray(p, dtype=np.float64)
     single = arr.ndim <= 1
     arr = np.atleast_2d(arr)
     freqs = np.pi * (2.0 ** np.arange(levels))
     ang = arr[:, :, None] * freqs  # (N, D, L)
-    out = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(arr.shape[0], -1)
+    out = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(
+        arr.shape[0], 2 * levels * arr.shape[1])
     return out[0] if single else out
 
 
@@ -91,11 +92,20 @@ def mlp_init(layer_sizes, rng: np.random.Generator) -> Mlp:
     return Mlp(weights=weights, biases=biases)
 
 
+# the nets' fixed activations (the sigmoid is signal_forward's), as checkpoint
+# metadata records them
+NET_ACTIVATIONS = {"deform_hidden_activation": "relu",
+                   "deform_output_activation": "identity",
+                   "radiance_hidden_activation": "relu",
+                   "radiance_output_activation": "sigmoid"}
+
+
 def mlp_forward(mlp: Mlp, pre: np.ndarray, want_cache: bool = False):
     """Evaluate the network on (N, width) rows of its first layer's
     pre-activation x W0^T + b0, which the caller assembles from the parts of
-    x (`signal_forward`); pre is overwritten. Optionally keep the cache needed
-    for backprop: every hidden ReLU's output, in layer order."""
+    x (`signal_forward`); pre is overwritten. Returns (output, hidden): hidden
+    is the cache backprop needs, every hidden ReLU's output in layer order,
+    with want_cache and None without."""
     a = pre
     hidden = []
     # bias and ReLU in place on the fresh matmul output: the same values
@@ -105,7 +115,7 @@ def mlp_forward(mlp: Mlp, pre: np.ndarray, want_cache: bool = False):
         hidden.append(a)
         a = a @ w.T
         a += b
-    return (a, hidden) if want_cache else a
+    return a, (hidden if want_cache else None)
 
 
 def mlp_backward(mlp: Mlp, hidden, d_out: np.ndarray, grads: GradientSet,
@@ -180,11 +190,17 @@ class FieldModel:
     def bbox(self) -> Aabb:
         return self.density_grid.bbox
 
-    def normalize_positions(self, p: np.ndarray) -> np.ndarray:
-        """Map world positions into [-1, 1]^3 via the grid bbox (positions
-        outside the box map outside the cube, which the encoding tolerates)."""
+    def encode_positions(self, p: np.ndarray) -> np.ndarray:
+        """The nets' encoding of world positions, (3,) or (N, 3): the grid box
+        mapped onto [-1, 1]^3 (positions outside the box map outside the cube,
+        which the encoding tolerates), then `positional_encode`."""
         box = self.bbox
-        return 2.0 * (np.asarray(p, dtype=np.float64) - box.min_corner) / box.extent - 1.0
+        unit = 2.0 * (np.asarray(p, dtype=np.float64) - box.min_corner) / box.extent - 1.0
+        return positional_encode(unit, self.enc_pos_levels)
+
+    def encode_directions(self, d: np.ndarray) -> np.ndarray:
+        """The nets' encoding of unit directions, (3,) or (N, 3)."""
+        return positional_encode(d, self.enc_dir_levels)
 
     def parameters(self) -> dict:
         """Named parameter tensors in the fixed optimizer/checkpoint order."""
@@ -198,6 +214,18 @@ class FieldModel:
                 params[f"{tag}.b{i}"] = b
         return params
 
+    @staticmethod
+    def net_from_parameters(params: dict, tag: str) -> Mlp:
+        """The net `tag` ("deform" or "radiance") from tensors named as in
+        `parameters`; KeyError or ValueError if they do not make one."""
+        n = 0
+        while f"{tag}.w{n}" in params:
+            n += 1
+        if not n:
+            raise ValueError(f"no layers found for network {tag!r}")
+        return Mlp(weights=[params[f"{tag}.w{i}"] for i in range(n)],
+                   biases=[params[f"{tag}.b{i}"] for i in range(n)])
+
 
 GRID_PARAM_NAMES = ("density_grid", "feature_grid")
 
@@ -206,24 +234,23 @@ GRID_PARAM_NAMES = ("density_grid", "feature_grid")
 class GradientSet:
     """One gradient buffer per FieldModel parameter tensor.
 
-    A set made with grid_rows (sorted node indices) holds the grid buffers on
-    those nodes only: row i of each is node grid_rows[i]. `grid_index` maps a
-    trilinear support to these rows; for a set of full-size grid buffers it is
-    the identity.
+    The grid buffers cover the grid nodes grid_rows (sorted node indices),
+    row i of each being node grid_rows[i]; without grid_rows they cover every
+    node, in node order. `grid_index` maps a trilinear support to these rows.
     """
 
     buffers: dict
-    # grid buffer row of every node, or None for full-size grid buffers; a
-    # node outside grid_rows maps one past the last row, so scattering to it
-    # fails instead of landing on another node
-    node_row: np.ndarray | None = None
+    # grid buffer row of every node; a node outside grid_rows maps one past
+    # the last row, so scattering to it fails instead of landing on another
+    # node
+    node_row: np.ndarray
 
     @classmethod
     def zeros_like(cls, model: FieldModel,
                    grid_rows: np.ndarray | None = None) -> "GradientSet":
         params = model.parameters()
         if grid_rows is None:
-            return cls({name: np.zeros_like(p) for name, p in params.items()})
+            grid_rows = np.arange(model.density_grid.n_nodes)
         node_row = np.full(model.density_grid.n_nodes, len(grid_rows), dtype=np.intp)
         node_row[grid_rows] = np.arange(len(grid_rows))
         return cls({name: (np.zeros((len(grid_rows),) + p.shape[1:], dtype=p.dtype)
@@ -232,7 +259,7 @@ class GradientSet:
 
     def grid_index(self, idx: np.ndarray) -> np.ndarray:
         """The grid buffer rows of the node indices idx."""
-        return idx if self.node_row is None else self.node_row[idx]
+        return self.node_row[idx]
 
     def zero(self) -> None:
         """Reset every buffer to zero in place, for reuse while the parameter
@@ -332,7 +359,8 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
     position; the radiance net maps corrected feature plus emission-direction
     encoding to a logit, which a sigmoid takes into (0, 1). Each first layer
     adds its one varying term to the static ones: enc(tx) W_tx^T per ray, and
-    the corrected feature's term per row.
+    the corrected feature's term per row. Returns (signal per row, cache):
+    the cache `signal_backward` takes with want_cache, None without.
     """
     ray_of = static.ray_of
     if model.deform_enabled:
@@ -342,21 +370,19 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
         enc_tx = np.ascontiguousarray(np.broadcast_to(enc_tx, (n_rays, width)))
         pre = (enc_tx @ model.deform_net.weights[0][:, :width].T)[ray_of]
         pre += static.x_pre
-        res = mlp_forward(model.deform_net, pre, want_cache=want_cache)
-        dfeat, de_hidden = res if want_cache else (res, None)
+        dfeat, de_hidden = mlp_forward(model.deform_net, pre, want_cache=want_cache)
         feat_sum = static.feat + dfeat
     else:
         feat_sum = static.feat
     pre = feat_sum @ model.radiance_net.weights[0][:, :model.feature_dim].T
     pre += static.dir_pre[ray_of]
-    res = mlp_forward(model.radiance_net, pre, want_cache=want_cache)
-    logit, rad_hidden = res if want_cache else (res, None)
+    logit, rad_hidden = mlp_forward(model.radiance_net, pre, want_cache=want_cache)
     s = sigmoid(logit)[:, 0]
-    if want_cache:
-        # per net: the first layer's varying input, then its hidden outputs
-        de_cache = [enc_tx, *de_hidden] if model.deform_enabled else None
-        return s, (de_cache, [feat_sum, *rad_hidden], s, static)
-    return s
+    if not want_cache:
+        return s, None
+    # per net: the first layer's varying input, then its hidden outputs
+    de_cache = [enc_tx, *de_hidden] if model.deform_enabled else None
+    return s, (de_cache, [feat_sum, *rad_hidden], s, static)
 
 
 def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: GradientSet):
@@ -394,10 +420,8 @@ def query_signal(model: FieldModel, x: np.ndarray, tx: np.ndarray,
     txs = np.broadcast_to(np.atleast_2d(tx), (n, 3))
     dirs = np.broadcast_to(np.atleast_2d(direction), (n, 3))
     feat = interpolate(model.feature_grid, xs)
-    enc_tx = positional_encode(model.normalize_positions(txs), model.enc_pos_levels)
-    enc_x = positional_encode(model.normalize_positions(xs), model.enc_pos_levels)
-    enc_d = positional_encode(dirs, model.enc_dir_levels)
     # every point is its own ray
-    static = static_terms(model, feat, np.arange(n), enc_x, enc_d)
-    s = signal_forward(model, static, enc_tx)
+    static = static_terms(model, feat, np.arange(n), model.encode_positions(xs),
+                          model.encode_directions(dirs))
+    s, _ = signal_forward(model, static, model.encode_positions(txs))
     return float(s[0]) if single else s

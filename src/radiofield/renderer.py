@@ -30,7 +30,6 @@ from .field_model import (
     FieldModel,
     GradientSet,
     StaticTerms,
-    positional_encode,
     sigmoid,
     signal_forward,
     softplus,
@@ -236,9 +235,10 @@ class SampleTable:
     dims and box, so one table serves every transmitter and every parameter
     update, and after the grids are resampled `resupport` renews the support
     alone.
-    enc_x holds per-sample position encodings when the table's owner caches
-    them; it is None otherwise, and `density_pass` encodes the kept samples
-    of each call.
+    emission_enc holds each ray's emission-direction encoding. enc_x holds
+    every sample's position encoding (`FieldModel.encode_positions`) when the
+    table's owner caches them; it is None otherwise, and `density_pass`
+    encodes the kept samples of each call.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel,
@@ -248,7 +248,7 @@ class SampleTable:
         if directions is None:
             directions = all_directions(geometry.spectrum_res)
         dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-        self.emission_enc = positional_encode(-dirs, model.enc_dir_levels)
+        self.emission_enc = model.encode_directions(-dirs)
         self.positions, self.spacings, self.offsets = sample_rays(geometry, dirs, step)
         self.counts = np.diff(self.offsets)
         self.enc_x = None
@@ -266,8 +266,9 @@ class SampleTable:
 class SegmentTrace:
     """Intermediates of one pass over rays of a sample table. kept and sigma
     cover every sample of the pass, the other per-sample arrays the kept
-    samples only, in ray order. `density_pass` fills every field but the last
-    two, which belong to one transmitter's `signal_pass`."""
+    samples only, in ray order; a pass that keeps no sample has zero rows of
+    them, static included. `density_pass` fills every field but the last two,
+    which belong to one transmitter's `signal_pass`."""
 
     kept: np.ndarray           # skip mask over the pass's samples
     sigma: np.ndarray          # density at every sample of the pass
@@ -281,7 +282,7 @@ class SegmentTrace:
     excl_prefix: np.ndarray    # per-ray exclusive prefix of optical depth
     weights: np.ndarray        # compositing weight T_i * alpha_i
     t_final: np.ndarray        # per ray
-    static: StaticTerms | None  # signal nets' static inputs; None if none kept
+    static: StaticTerms        # signal nets' static inputs, on the kept samples
     signal_kept: np.ndarray | None = None
     sig_cache: object = None   # signal_forward cache, with want_cache
 
@@ -313,18 +314,11 @@ def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
     optical = sigma[kept] * spacings_kept
     t_out, excl, w = segment_weights(optical, rk, n_rays)
 
-    static = None
-    if len(rk):
-        feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx],
-                         kept_weights)
-        if table.enc_x is None:
-            enc_x = positional_encode(
-                model.normalize_positions(table.positions[rows_kept]),
-                model.enc_pos_levels)
-        else:
-            enc_x = table.enc_x[rows_kept]
-        static = static_terms(model, feat, rk, enc_x, table.emission_enc[cells],
-                              keep_encodings)
+    feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx], kept_weights)
+    enc_x = (model.encode_positions(table.positions[rows_kept]) if table.enc_x is None
+             else table.enc_x[rows_kept])
+    static = static_terms(model, feat, rk, enc_x, table.emission_enc[cells],
+                          keep_encodings)
     return SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
                         kept_idx=kept_idx, kept_weights=kept_weights,
                         raw_kept=raw[kept], ray_of_kept=rk,
@@ -341,12 +335,8 @@ def signal_pass(model: FieldModel, trace: SegmentTrace, tx: np.ndarray,
     Returns (accumulated per ray, signal per kept sample, signal_forward
     cache or None).
     """
-    if trace.static is None:
-        signal_kept, sig_cache = np.empty(0), None
-    else:
-        enc_tx = positional_encode(model.normalize_positions(tx), model.enc_pos_levels)
-        res = signal_forward(model, trace.static, enc_tx, want_cache=want_cache)
-        signal_kept, sig_cache = res if want_cache else (res, None)
+    signal_kept, sig_cache = signal_forward(model, trace.static,
+                                            model.encode_positions(tx), want_cache)
     r_out = accumulate(trace.weights, signal_kept, trace.ray_of_kept,
                        len(trace.t_final))
     return r_out, signal_kept, sig_cache
@@ -366,9 +356,8 @@ def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
     trace = density_pass(model, table, cells, tau, keep_encodings=want_cache)
     r_out, trace.signal_kept, trace.sig_cache = signal_pass(model, trace, tx,
                                                             want_cache)
-    if trace.static is not None:
-        # spent on the one transmitter, and the adjoint does not read it
-        trace.static.x_pre = None
+    # spent on the one transmitter, and the adjoint does not read it
+    trace.static.x_pre = None
     return r_out, trace.t_final, trace
 
 
@@ -383,8 +372,6 @@ def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
     sample's dL/dsigma and dL/dS are multiplied by its entry before they
     reach the nets and grids.
     """
-    if not len(trace.ray_of_kept):
-        return
     d_optical, d_signal = composite_segments_backward(
         trace.optical, trace.signal_kept, trace.ray_of_kept, trace.excl_prefix,
         trace.weights, trace.t_final, d_r, d_t)

@@ -28,12 +28,12 @@ from .field_model import (
     FieldModel,
     GradientSet,
     init_field_model,
-    positional_encode,
 )
 from .objectives import LossReport, background_entropy, spectrum_mse, total_loss
 from .renderer import (
     SampleTable,
     SceneGeometry,
+    aggregate_rssi,
     backward_segments,
     default_step,
     forward_segments,
@@ -90,6 +90,8 @@ class TrainConfig:
                 ("lr_decay_target_fraction",
                  0 < self.lr_decay_target_fraction < math.inf, "finite and positive"),
                 ("tau", self.tau >= 0, "nonnegative"),
+                ("bg_weight", 0 <= self.bg_weight < math.inf, "finite and nonnegative"),
+                ("seed", self.seed >= 0, "nonnegative"),
                 ("density_bias", math.isfinite(self.density_bias), "finite"),
                 ("enc_pos_levels", self.enc_pos_levels >= 1, "at least 1"),
                 ("enc_dir_levels", self.enc_dir_levels >= 1, "at least 1"),
@@ -292,8 +294,7 @@ class _StageCache(SampleTable):
     def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
                  grad_radius: float | None = None):
         super().__init__(geometry, model, step)
-        self.enc_x = positional_encode(model.normalize_positions(self.positions),
-                                       model.enc_pos_levels)
+        self.enc_x = model.encode_positions(self.positions)
         self.grad_scale = None
         if grad_radius is not None:
             r = np.linalg.norm(self.positions - geometry.rx_position, axis=1)
@@ -445,14 +446,13 @@ def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
 
 def rssi_offset(measured_dbm, spectra) -> float:
     """The `fit_rssi_calibration` offset from rendered spectra: the mean of
-    measured RSSI minus 10*log10(total power), over spectra with positive
-    power."""
+    measured RSSI minus the uncalibrated `aggregate_rssi`, over spectra with
+    positive power."""
     residuals = []
     for rssi_dbm, spectrum in zip(measured_dbm, spectra):
-        power = float(spectrum.sum())
-        if power <= 0:
+        if float(spectrum.sum()) <= 0:
             continue
-        residuals.append(rssi_dbm - 10.0 * np.log10(power))
+        residuals.append(rssi_dbm - aggregate_rssi(spectrum))
     if not residuals:
         raise ValueError("no records with measured RSSI and positive predicted power")
     return float(np.mean(residuals))

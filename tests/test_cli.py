@@ -203,6 +203,10 @@ class TestMalformedInput:
         ("train", ["--trainer.total_iters", "-5"], "total_iters"),
         ("train", ["--trainer.feature_dim", "0"], "feature_dim"),
         ("train", ["--trainer.mlp_width", "0"], "mlp_width"),
+        ("train", ["--trainer.bg_weight", "nan"], "bg_weight"),
+        ("train", ["--trainer.bg_weight", "inf"], "bg_weight"),
+        ("train", ["--trainer.bg_weight", "-1"], "bg_weight"),
+        ("train", ["--trainer.seed", "-1"], "seed"),
         ("infer", ["--tau", "nan"], "tau"),
         ("eval", ["--tau", "nan"], "tau"),
         ("synth", ["--rssi-noise-db", "nan"], "rssi_noise_db"),
@@ -212,6 +216,7 @@ class TestMalformedInput:
             "final_dims_zero", "upsample_iter_negative", "train_tau_negative",
             "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
             "density_bias_nan", "total_iters_negative", "feature_dim_0", "mlp_width_0",
+            "bg_weight_nan", "bg_weight_inf", "bg_weight_negative", "seed_negative",
             "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
             "fine_step_nan"])
     def test_bad_value_is_config_error(self, pipeline, tmp_path, capsys, command,

@@ -69,12 +69,46 @@ class TestPositionalEncoding:
     def test_width_and_batch_shape(self):
         out = positional_encode(np.zeros((7, 3)), 5)
         assert out.shape == (7, 30)
+        assert positional_encode(np.zeros((0, 3)), 4).shape == (0, 24)
 
     def test_component_major_layout(self):
         # First 2L entries belong to the first component.
         out = positional_encode(np.array([0.5, 0.0]), 2)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0],
                                    atol=1e-12)
+
+
+class TestModelEncodings:
+    """Each model encoding equals its formula bit for bit, inside the box and
+    outside it."""
+
+    @staticmethod
+    def model_and_points():
+        box = Aabb(np.array([-1.0, 0.5, 2.0]), np.array([3.0, 1.5, 5.0]))
+        m = init_field_model(box, (3, 3, 3), 2, 4, seed=1, enc_pos_levels=3,
+                             enc_dir_levels=2)
+        rng = np.random.default_rng(4)
+        # 50 points inside the box, then 50 mostly outside it
+        lo, hi = box.min_corner, box.max_corner
+        p = np.concatenate([rng.uniform(lo, hi, size=(50, 3)),
+                            rng.uniform(lo - 2.0, hi + 2.0, size=(50, 3))])
+        return m, p
+
+    def test_encode_positions_is_box_map_then_encoding(self):
+        m, p = self.model_and_points()
+        box = m.bbox
+        want = positional_encode(2.0 * (p - box.min_corner) / box.extent - 1.0,
+                                 m.enc_pos_levels)
+        assert np.array_equal(m.encode_positions(p), want)
+        assert np.array_equal(m.encode_positions(p[7]), want[7])
+        assert m.encode_positions(p[:0]).shape == (0, want.shape[1])
+
+    def test_encode_directions_is_the_encoding(self):
+        m, p = self.model_and_points()
+        d = p / np.linalg.norm(p, axis=1, keepdims=True)
+        want = positional_encode(-d, m.enc_dir_levels)
+        assert np.array_equal(m.encode_directions(-d), want)
+        assert np.array_equal(m.encode_directions(-d[3]), want[3])
 
 
 class TestQueryDensity:
@@ -157,6 +191,12 @@ class TestQuerySignal:
         s1 = query_signal(m, x, np.array([0.1, 0.2, 0.3]), d)
         s2 = query_signal(m, x, np.array([0.8, 0.7, 0.6]), d)
         assert s1 == s2
+
+    def test_empty_batch_gives_empty_output(self):
+        m = tiny_model(seed=21)
+        none = np.zeros((0, 3))
+        assert query_density(m, none).shape == (0,)
+        assert query_signal(m, none, np.full(3, 0.3), none).shape == (0,)
 
     def test_non_unit_direction_rejected(self):
         m = tiny_model()

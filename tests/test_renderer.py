@@ -4,13 +4,13 @@ against a per-ray reference, the compositing adjoint against finite differences.
 import numpy as np
 import pytest
 
-import radiofield.renderer as renderer
-from radiofield.field_model import init_field_model
+from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SampleTable,
     SceneGeometry,
     aggregate_rssi,
     all_directions,
+    backward_segments,
     clip_rays,
     composite,
     composite_segments,
@@ -288,21 +288,26 @@ class TestRenderRay:
             trace_ray(smooth_model(), demo_geometry(), np.array([0.0, bad, 0.0]),
                       np.array([0.0, 0.0, 1.0]))
 
-    def test_fully_skipped_ray_never_queries_signal(self, monkeypatch):
+    def test_fully_skipped_ray_is_the_zero_row_pass(self):
         m = smooth_model()
         m.density_grid.values[:] = -1000.0  # softplus underflows to zero
         geo = demo_geometry()
-        calls = []
-        orig = renderer.signal_forward
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(renderer, "signal_forward", spy)
-        t = trace_ray(m, geo, np.zeros(3), np.array([0.0, 0.0, 1.0]), tau=1e-4)
+        up = np.array([0.0, 0.0, 1.0])
+        t = trace_ray(m, geo, np.zeros(3), up, tau=1e-4)
+        assert t.n_kept == 0 and t.n_samples > 0
         assert t.accumulated == 0.0 and t.final_transmittance == 1.0
-        assert calls == []
+        # the forward and its adjoint run over zero kept rows, and the
+        # adjoint adds nothing to any gradient
+        table = SampleTable(geo, m, directions=up)
+        r, t_k, trace = forward_segments(m, table, np.zeros(3), np.arange(1), 1e-4,
+                                         want_cache=True)
+        assert r.dtype == np.float64 and r[0] == 0.0 and t_k[0] == 1.0
+        assert trace.static.feat.shape == (0, m.feature_dim)
+        assert trace.signal_kept.shape == (0,)
+        grads = GradientSet.zeros_like(m)
+        backward_segments(m, trace, np.ones(1), np.ones(1), grads)
+        for name, g in grads.buffers.items():
+            assert not g.any(), name
 
     def test_skip_accounting(self):
         m = smooth_model()
