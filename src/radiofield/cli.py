@@ -24,6 +24,7 @@ from .dataio import (
     FormatError,
     SyntheticScene,
     generate_dataset,
+    geometry_extra,
     geometry_from_checkpoint,
     load_checkpoint,
     load_dataset,
@@ -237,10 +238,15 @@ def _train_config(cfg: dict) -> TrainConfig:
         raise ConfigError(f"bad trainer configuration: {e}") from e
 
 
+def _split(cfg: dict, dataset: Dataset):
+    """The (train, held-out) record indices of dataset that train and eval use."""
+    return split_indices(len(dataset.records), int(cfg["run.split_seed"]),
+                         float(cfg["run.train_fraction"]))
+
+
 def cmd_train(cfg: dict) -> int:
     dataset = load_dataset(cfg["paths.data"])
-    train_idx, _ = split_indices(len(dataset.records), int(cfg["run.split_seed"]),
-                                 float(cfg["run.train_fraction"]))
+    train_idx, _ = _split(cfg, dataset)
     train_ds = _subset(dataset, train_idx)
     config = _train_config(cfg)
     log_path = cfg.get("paths.log")
@@ -253,15 +259,13 @@ def cmd_train(cfg: dict) -> int:
         if log_fh:
             log_fh.close()
     elapsed = time.perf_counter() - t0
-    geo = dataset.geometry
     save_checkpoint(cfg["paths.out"], result.model, extra={
         "seed": config.seed,
         "iteration": config.total_iters,
         "profile": cfg["run.profile"],
         "split_seed": int(cfg["run.split_seed"]),
         "train_fraction": float(cfg["run.train_fraction"]),
-        "rx_position": list(geo.rx_position),
-        "spectrum_res": list(geo.spectrum_res),
+        **geometry_extra(dataset.geometry),
         "normalization": dataset.normalization,
         "units": dataset.units,
         "tau": config.tau,
@@ -291,9 +295,7 @@ def cmd_eval(cfg: dict) -> int:
     dataset = load_dataset(cfg["paths.data"])
     geometry = dataset.geometry
     tau = float(cfg["run.tau"])
-    train_idx, test_idx = split_indices(len(dataset.records),
-                                        int(cfg["run.split_seed"]),
-                                        float(cfg["run.train_fraction"]))
+    train_idx, test_idx = _split(cfg, dataset)
     if len(test_idx) == 0:
         raise ConfigError("train_fraction leaves no held-out records to evaluate")
     out_dir = Path(cfg["paths.out"])

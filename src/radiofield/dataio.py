@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .field_model import NET_ACTIVATIONS, FieldModel
-from .renderer import SceneGeometry, all_directions
+from .renderer import SceneGeometry, aggregate_rssi, all_directions
 from .voxel_grid import Aabb, VoxelGrid
 
 SPECTRUM_MAGIC = b"VXRF"
@@ -52,10 +52,9 @@ def write_spectrum(path, spectrum: np.ndarray) -> None:
         fh.write(payload)
 
 
-def read_spectrum(path) -> np.ndarray:
-    """Read a spectrum file back as float64; rejects malformed files."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _spectrum_dims(path, blob: bytes) -> tuple[int, int]:
+    """(M, N) from blob, a spectrum file's header or more; FormatError naming
+    path unless the header is whole, of this magic and version, with sane dims."""
     if len(blob) < 16:
         raise FormatError(f"{path}: truncated header, {len(blob)} bytes at byte offset 0")
     magic, version, m, n = struct.unpack_from("<4sIII", blob, 0)
@@ -65,6 +64,14 @@ def read_spectrum(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
     if m < 1 or n < 1 or m * n > 2 ** 28:
         raise FormatError(f"{path}: unreasonable dimensions {m}x{n} at byte offset 8")
+    return m, n
+
+
+def read_spectrum(path) -> np.ndarray:
+    """Read a spectrum file back as float64; rejects malformed files."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    m, n = _spectrum_dims(path, blob)
     expected = 16 + 4 * m * n
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob) - 16} bytes, expected "
@@ -351,10 +358,7 @@ def load_dataset(path) -> Dataset:
         if not spath.is_file():
             raise FormatError(f"{manifest}: missing spectrum file {rec.spectrum_path}")
         with open(spath, "rb") as fh:
-            head = fh.read(16)
-        if len(head) < 16:
-            raise FormatError(f"{spath}: truncated header")
-        _, _, m, n = struct.unpack("<4sIII", head)
+            m, n = _spectrum_dims(spath, fh.read(16))
         if (m, n) != geometry.spectrum_res:
             raise FormatError(f"{spath}: resolution {m}x{n} differs from manifest "
                               f"{geometry.spectrum_res}")
@@ -395,9 +399,8 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
     if rssi_noise_db is not None:
         noise = rng.normal(0.0, rssi_noise_db, size=n_tx)
         for i in range(n_tx):
-            total = float(raw[i].sum())
-            if total > 0:
-                rssi[i] = float(10.0 * np.log10(total) + noise[i])
+            if raw[i].sum() > 0:
+                rssi[i] = float(aggregate_rssi(raw[i], noise[i]))
 
     out_dir = Path(out_dir)
     spectra_dir = out_dir / "spectra"
@@ -548,6 +551,12 @@ def load_checkpoint(path):
             deform_enabled=bool(meta["deform_enabled"]),
         )
     return model, meta
+
+
+def geometry_extra(geometry: SceneGeometry) -> dict:
+    """The checkpoint `extra` entries that `geometry_from_checkpoint` reads."""
+    return {"rx_position": list(geometry.rx_position),
+            "spectrum_res": list(geometry.spectrum_res)}
 
 
 def geometry_from_checkpoint(path, meta: dict) -> SceneGeometry:

@@ -120,27 +120,28 @@ def mlp_forward(mlp: Mlp, pre: np.ndarray, want_cache: bool = False):
 
 def mlp_backward(mlp: Mlp, hidden, d_out: np.ndarray, grads: GradientSet,
                  tag: str, inputs) -> np.ndarray:
-    """Backprop through a cached mlp_forward, accumulating every layer's
-    gradients into grads[f"{tag}.w{i}"] and grads[f"{tag}.b{i}"].
+    """Backprop through a cached mlp_forward, adding every layer's gradients
+    in place into the buffers grads[f"{tag}.w{i}"] and grads[f"{tag}.b{i}"].
 
-    inputs are the first layer's input rows as column blocks, in input order
-    (they concatenate to x). Returns dL/dpre, the gradient of the first
-    layer's pre-activation.
+    d_out is dL/doutput as an (N, out) float array, and inputs are the first
+    layer's input rows as column blocks, in input order (they concatenate to
+    x). Returns dL/dpre, the gradient of the first layer's pre-activation.
     """
-    delta = np.asarray(d_out, dtype=np.float64)
+    delta = d_out
     for i in reversed(range(1, len(mlp.weights))):
         a = hidden[i - 1]
-        grads[f"{tag}.w{i}"] += delta.T @ a
-        grads[f"{tag}.b{i}"] += delta.sum(axis=0)
+        grad_w, grad_b = grads[f"{tag}.w{i}"], grads[f"{tag}.b{i}"]
+        grad_w += delta.T @ a
+        grad_b += delta.sum(axis=0)
         # a is the output of the ReLU below, so a > 0 is that ReLU's mask (a
         # boolean mask multiplies as 1.0 / 0.0)
         delta = (delta @ mlp.weights[i]) * (a > 0.0)
-    grad_w0 = grads[f"{tag}.w0"]
+    grad_w0, grad_b0 = grads[f"{tag}.w0"], grads[f"{tag}.b0"]
     col = 0
     for x in inputs:
         grad_w0[:, col:col + x.shape[1]] += delta.T @ x
         col += x.shape[1]
-    grads[f"{tag}.b0"] += delta.sum(axis=0)
+    grad_b0 += delta.sum(axis=0)
     return delta
 
 
@@ -270,12 +271,6 @@ class GradientSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.buffers[name]
 
-    def __setitem__(self, name: str, value: np.ndarray):
-        # `grads[name] += g` adds in place, then stores the same array back
-        if name not in self.buffers:
-            raise KeyError(name)
-        self.buffers[name] = value
-
 
 def init_field_model(bbox: Aabb, dims, feature_dim: int, hidden_width: int,
                      seed: int, density_bias: float = -3.0,
@@ -387,7 +382,8 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
 
 def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: GradientSet):
     """Adjoint of signal_forward (taken with want_cache=True from StaticTerms
-    that kept their encodings); accumulates MLP gradients, returns d_feat.
+    that kept their encodings) at the float array d_signal; adds the MLP
+    gradients into grads, returns d_feat.
 
     The gradient of the corrected feature flows both to the static feature
     (returned, for the grid scatter) and through the deformation net. The
@@ -395,7 +391,7 @@ def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: Gradi
     weight gradients.
     """
     de_cache, rad_cache, s, static = cache
-    d_logit = np.asarray(d_signal) * (s * (1.0 - s))
+    d_logit = d_signal * (s * (1.0 - s))
     d_feat = mlp_backward(model.radiance_net, rad_cache[1:], d_logit[:, None], grads,
                           "radiance", (rad_cache[0], static.enc_dir[static.ray_of])
                           ) @ model.radiance_net.weights[0][:, :model.feature_dim]
@@ -411,14 +407,13 @@ def query_signal(model: FieldModel, x: np.ndarray, tx: np.ndarray,
     direction: from the sample toward the receiver, i.e. the negated ray
     direction), conditioned on transmitter position tx.
 
-    x, tx, direction broadcast between (3,) and (N, 3); scalar in, scalar out.
+    x, tx, direction broadcast between (3,) and (N, 3), the batch size N
+    taken from all three; a scalar comes out only when all three are (3,).
     """
-    single = np.asarray(x).ndim == 1 and np.asarray(direction).ndim == 1
+    single = all(np.asarray(v).ndim == 1 for v in (x, tx, direction))
     _check_unit(direction)
-    xs = np.atleast_2d(x)
-    n = xs.shape[0]
-    txs = np.broadcast_to(np.atleast_2d(tx), (n, 3))
-    dirs = np.broadcast_to(np.atleast_2d(direction), (n, 3))
+    xs, txs, dirs = np.broadcast_arrays(*(np.atleast_2d(v) for v in (x, tx, direction)))
+    n = len(xs)
     feat = interpolate(model.feature_grid, xs)
     # every point is its own ray
     static = static_terms(model, feat, np.arange(n), model.encode_positions(xs),

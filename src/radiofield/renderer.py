@@ -61,28 +61,30 @@ class SceneGeometry:
         return self.spectrum_res[0] * self.spectrum_res[1]
 
 
+def _cell_directions(m, n, big_m: int, big_n: int) -> np.ndarray:
+    """`direction_from_angles` of cells (m, n), scalars or equal-shape arrays,
+    without its range check; components on the last axis."""
+    phi = 2.0 * np.pi * (m + 0.5) / big_m
+    theta = 0.5 * np.pi * (n + 0.5) / big_n
+    return np.stack([np.cos(theta) * np.cos(phi),
+                     np.cos(theta) * np.sin(phi),
+                     np.sin(theta)], axis=-1)
+
+
 def direction_from_angles(m: int, n: int, res) -> np.ndarray:
     """Unit direction of spectrum cell (m, n): azimuth 2*pi*(m+0.5)/M,
     elevation (pi/2)*(n+0.5)/N above the horizon, z up."""
     big_m, big_n = int(res[0]), int(res[1])
     if not (0 <= m < big_m and 0 <= n < big_n):
         raise ValueError(f"cell ({m}, {n}) outside resolution {big_m}x{big_n}")
-    phi = 2.0 * np.pi * (m + 0.5) / big_m
-    theta = 0.5 * np.pi * (n + 0.5) / big_n
-    return np.array([np.cos(theta) * np.cos(phi),
-                     np.cos(theta) * np.sin(phi),
-                     np.sin(theta)])
+    return _cell_directions(m, n, big_m, big_n)
 
 
 def all_directions(res) -> np.ndarray:
     """All M*N cell-center directions, azimuth-major: row m*N + n."""
     big_m, big_n = int(res[0]), int(res[1])
     m, n = np.meshgrid(np.arange(big_m), np.arange(big_n), indexing="ij")
-    phi = 2.0 * np.pi * (m.ravel() + 0.5) / big_m
-    theta = 0.5 * np.pi * (n.ravel() + 0.5) / big_n
-    return np.stack([np.cos(theta) * np.cos(phi),
-                     np.cos(theta) * np.sin(phi),
-                     np.sin(theta)], axis=-1)
+    return _cell_directions(m.ravel(), n.ravel(), big_m, big_n)
 
 
 def clip_rays(origin: np.ndarray, directions: np.ndarray, bbox: Aabb) -> np.ndarray:
@@ -131,28 +133,24 @@ def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
 
 def composite(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray):
     """Front-to-back emission-absorption compositing of one ray: the one-ray
-    case of `composite_segments`.
-
-    alpha_i = 1 - exp(-sigma_i * delta_i); T_i is the transmittance reaching
-    sample i; the ray accumulates R = sum T_i * alpha_i * S_i.
+    case of `segment_weights` and `accumulate`.
 
     Returns (R, T_K, w) where T_K is the transmittance leaving the box and w
-    the per-sample contribution weights (w.sum() + T_K == 1).
+    the per-sample contribution weights (w.sum() + T_K == 1); a ray without
+    samples gives (0.0, 1.0, an empty w).
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     signal = np.asarray(signal, dtype=np.float64)
     spacing = np.asarray(spacing, dtype=np.float64)
     if not (sigma.shape == signal.shape == spacing.shape):
         raise ValueError("sigma, signal, spacing must have equal lengths")
-    if sigma.size == 0:
-        return 0.0, 1.0, np.empty(0)
     if np.any(sigma < 0):
         raise ValueError("negative volume density")
     if np.any(spacing <= 0):
         raise ValueError("spacings must be positive")
-    r_out, t_out, _, w = composite_segments(sigma * spacing, signal,
-                                            np.zeros(sigma.size, dtype=np.int64), 1)
-    return float(r_out[0]), float(t_out[0]), w
+    ray_of = np.zeros(sigma.size, dtype=np.int64)
+    t_out, _, w = segment_weights(sigma * spacing, ray_of, 1)
+    return float(accumulate(w, signal, ray_of, 1)[0]), float(t_out[0]), w
 
 
 def segment_prefix(values: np.ndarray, ray_of: np.ndarray, n_rays: int):
@@ -160,17 +158,23 @@ def segment_prefix(values: np.ndarray, ray_of: np.ndarray, n_rays: int):
     cs = np.cumsum(values)
     counts = np.bincount(ray_of, minlength=n_rays)
     starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
-    if len(values):
-        safe = np.clip(starts - 1, 0, len(values) - 1)
-        base = np.where(starts > 0, cs[safe], 0.0)
-    else:
-        base = np.zeros(n_rays)
+    base = np.concatenate([[0.0], cs])[starts]
     return cs - np.repeat(base, counts)
 
 
 def segment_weights(optical: np.ndarray, ray_of: np.ndarray, n_rays: int):
-    """The signal-independent half of `composite_segments`: (T_K per ray,
-    exclusive prefix per sample, weights per sample)."""
+    """Front-to-back compositing weights of many rays at once, over contiguous
+    per-ray segments: the signal-independent half of compositing, whose other
+    half is `accumulate`.
+
+    optical is sigma * delta per sample and ray_of the owning ray
+    (non-decreasing). alpha_i = 1 - exp(-optical_i); the transmittance T_i
+    reaching sample i is exp of the segmented exclusive prefix of optical
+    depth, equal to the sequential front-to-back product, and sample i weighs
+    w_i = T_i * alpha_i, so a ray accumulates R = sum w_i S_i. Returns (T_K
+    per ray, exclusive prefix per sample, weights per sample); a ray without
+    samples gets T_K = 1.
+    """
     excl = segment_prefix(optical, ray_of, n_rays) - optical
     w = np.exp(-excl) * -np.expm1(-optical)
     t_out = np.exp(-np.bincount(ray_of, weights=optical, minlength=n_rays))
@@ -186,27 +190,12 @@ def accumulate(weights: np.ndarray, signal: np.ndarray, ray_of: np.ndarray,
         np.float64, copy=False)
 
 
-def composite_segments(optical: np.ndarray, signal: np.ndarray, ray_of: np.ndarray,
-                       n_rays: int):
-    """Front-to-back compositing of many rays at once, over contiguous per-ray
-    segments.
-
-    optical is sigma * delta per sample and ray_of the owning ray
-    (non-decreasing). Transmittance is exp of the segmented exclusive prefix
-    of optical depth, equal to the sequential front-to-back product. Returns
-    (R per ray, T_K per ray, exclusive prefix per sample, weights per sample);
-    a ray without samples gets R = 0, T_K = 1.
-    """
-    t_out, excl, w = segment_weights(optical, ray_of, n_rays)
-    return accumulate(w, signal, ray_of, n_rays), t_out, excl, w
-
-
 def composite_segments_backward(optical: np.ndarray, signal: np.ndarray,
                                 ray_of: np.ndarray, excl: np.ndarray,
                                 weights: np.ndarray, t_out: np.ndarray,
                                 d_r: np.ndarray, d_t: np.ndarray):
-    """Adjoint of `composite_segments`, given its outputs and upstream dL/dR and
-    dL/dT_K per ray.
+    """Adjoint of compositing by `segment_weights` and `accumulate`, given
+    their outputs and upstream dL/dR and dL/dT_K per ray.
 
     Uses the closed forms, per ray segment,
         dL/dS_i   = dL/dR * w_i,

@@ -79,10 +79,12 @@ class TrainConfig:
         self.final_dims = tuple(int(d) for d in self.final_dims)
         # every comparison below is false for NaN, so NaN fails its check
         for name, ok, need in (
-                ("final_dims", all(d >= 2 for d in self.final_dims),
-                 "at least 2 nodes per axis"),
+                ("final_dims",
+                 len(self.final_dims) == 3 and all(d >= 2 for d in self.final_dims),
+                 "three node counts, each at least 2"),
                 ("feature_dim", self.feature_dim >= 1, "at least 1"),
                 ("mlp_width", self.mlp_width >= 1, "at least 1"),
+                ("stages", self.stages >= 0, "nonnegative"),
                 ("total_iters", self.total_iters >= 0, "nonnegative"),
                 ("batch_rays", self.batch_rays >= 1, "at least 1"),
                 ("lr_grid", 0 <= self.lr_grid < math.inf, "finite and nonnegative"),

@@ -207,6 +207,7 @@ class TestMalformedInput:
         ("train", ["--trainer.bg_weight", "inf"], "bg_weight"),
         ("train", ["--trainer.bg_weight", "-1"], "bg_weight"),
         ("train", ["--trainer.seed", "-1"], "seed"),
+        ("train", ["--trainer.stages", "-1"], "stages"),
         ("infer", ["--tau", "nan"], "tau"),
         ("eval", ["--tau", "nan"], "tau"),
         ("synth", ["--rssi-noise-db", "nan"], "rssi_noise_db"),
@@ -217,6 +218,7 @@ class TestMalformedInput:
             "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
             "density_bias_nan", "total_iters_negative", "feature_dim_0", "mlp_width_0",
             "bg_weight_nan", "bg_weight_inf", "bg_weight_negative", "seed_negative",
+            "stages_negative",
             "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
             "fine_step_nan"])
     def test_bad_value_is_config_error(self, pipeline, tmp_path, capsys, command,

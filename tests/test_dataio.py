@@ -228,6 +228,20 @@ class TestGenerateDataset:
         with pytest.raises(FormatError, match="missing spectrum"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("field,offset,value", [
+        ("magic", 0, b"XXXX"), ("version", 4, struct.pack("<I", 9))],
+        ids=["bad_magic", "bad_version"])
+    def test_bad_spectrum_header_rejected_at_load(self, tmp_path, field, offset, value):
+        # the dataset loader checks each spectrum's header as read_spectrum does
+        generate_dataset(demo_scene(), demo_geometry(res=(6, 3)), n_tx=2, seed=1,
+                         out_dir=tmp_path / "d", fine_step=0.03)
+        spath = tmp_path / "d" / "spectra" / "tx_00001.vxrf"
+        blob = bytearray(spath.read_bytes())
+        blob[offset:offset + len(value)] = value
+        spath.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=field):
+            load_dataset(tmp_path / "d")
+
 
     def test_non_finite_tx_position_rejected(self, tmp_path):
         generate_dataset(demo_scene(), demo_geometry(res=(6, 3)), n_tx=2, seed=1,

@@ -192,6 +192,35 @@ class TestQuerySignal:
         s2 = query_signal(m, x, np.array([0.8, 0.7, 0.6]), d)
         assert s1 == s2
 
+    @pytest.mark.parametrize("singles", [("x",), ("tx",), ("direction",),
+                                         ("x", "tx"), ("x", "direction")],
+                             ids=["x", "tx", "direction", "x_tx", "x_direction"])
+    def test_single_inputs_broadcast_against_batches(self, singles):
+        # the batch size comes from all three inputs: those named are (3,),
+        # the others (5, 3), and the result equals the call with the named
+        # inputs tiled, bit for bit
+        rng = np.random.default_rng(31)
+        m = tiny_model(seed=21)
+        dirs = rng.normal(size=(5, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        tiled = {"x": rng.uniform(0.1, 0.9, size=(5, 3)),
+                 "tx": rng.uniform(0.0, 1.0, size=(5, 3)), "direction": dirs}
+        args = dict(tiled)
+        for name in singles:
+            args[name] = tiled[name][0]
+            tiled[name] = np.tile(args[name], (5, 1))
+        got = query_signal(m, **args)
+        assert got.shape == (5,)
+        assert np.array_equal(got, query_signal(m, **tiled))
+
+    def test_mismatched_batch_sizes_rejected(self):
+        m = tiny_model(seed=21)
+        d = np.tile([0.0, 0.0, 1.0], (4, 1))
+        with pytest.raises(ValueError):
+            query_signal(m, np.full((5, 3), 0.5), np.full(3, 0.2), d)
+        with pytest.raises(ValueError):
+            query_signal(m, np.full(3, 0.5), np.full((5, 3), 0.2), d)
+
     def test_empty_batch_gives_empty_output(self):
         m = tiny_model(seed=21)
         none = np.zeros((0, 3))

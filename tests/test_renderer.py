@@ -8,12 +8,12 @@ from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SampleTable,
     SceneGeometry,
+    accumulate,
     aggregate_rssi,
     all_directions,
     backward_segments,
     clip_rays,
     composite,
-    composite_segments,
     composite_segments_backward,
     default_step,
     direction_from_angles,
@@ -22,6 +22,8 @@ from radiofield.renderer import (
     render_spectrum,
     render_spectrum_traced,
     sample_rays,
+    segment_prefix,
+    segment_weights,
     trace_ray,
 )
 from radiofield.voxel_grid import Aabb
@@ -71,12 +73,13 @@ class TestDirections:
             direction_from_angles(4, 0, (4, 1))
 
     def test_azimuth_major_indexing(self):
-        res = (5, 3)
-        dirs = all_directions(res)
-        for m in (0, 2, 4):
-            for n in (0, 1, 2):
-                np.testing.assert_allclose(dirs[m * res[1] + n],
-                                           direction_from_angles(m, n, res))
+        # the one-cell form is the table's row m*N + n, bit for bit
+        for res in ((5, 3), (36, 9), (12, 4), (7, 3)):
+            dirs = all_directions(res)
+            for m in range(res[0]):
+                for n in range(res[1]):
+                    assert np.array_equal(dirs[m * res[1] + n],
+                                          direction_from_angles(m, n, res))
 
 
 class TestClipRay:
@@ -170,6 +173,7 @@ class TestComposite:
     def test_empty_ray(self):
         r, t_k, w = composite(np.empty(0), np.empty(0), np.empty(0))
         assert r == 0.0 and t_k == 1.0 and len(w) == 0
+        assert type(r) is float and type(t_k) is float and w.dtype == np.float64
 
     def test_single_sample_closed_form(self):
         r, t_k, _ = composite(np.array([np.log(2.0)]), np.array([1.0]), np.array([1.0]))
@@ -206,10 +210,26 @@ class TestComposite:
             composite(np.array([0.1, 0.2]), np.array([0.5]), np.array([0.1, 0.1]))
 
 
+class TestSegmentPrefix:
+    @pytest.mark.parametrize("counts", [[0, 3, 2], [2, 0, 3], [3, 2, 0], [0, 0, 0],
+                                        [0, 4, 0, 0, 1, 0]],
+                             ids=["empty_first", "empty_middle", "empty_last",
+                                  "no_values", "several_empty"])
+    def test_matches_per_ray_cumsum(self, counts):
+        # multiples of 1/8: every partial sum is exact, so both forms agree
+        # bit for bit whatever order they add in
+        values = np.random.default_rng(8).integers(0, 17, sum(counts)) / 8.0
+        ray_of = np.repeat(np.arange(len(counts)), counts)
+        want = np.concatenate([np.empty(0)] + [
+            np.cumsum(values[ray_of == b]) for b in range(len(counts))])
+        got = segment_prefix(values, ray_of, len(counts))
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 class TestCompositeBackward:
     def test_matches_finite_differences(self):
         # Oracle: central differences of sum_b (a_b R_b + c_b T_K,b) through
-        # composite_segments, over rays of 5, 0 and 7 samples.
+        # segment_weights and accumulate, over rays of 5, 0 and 7 samples.
         rng = np.random.default_rng(7)
         k = 12
         sigma = rng.uniform(0.01, 3, k)
@@ -219,10 +239,10 @@ class TestCompositeBackward:
         a, c = np.array([0.7, 0.2, -0.4]), np.array([-1.3, 0.5, 0.9])
 
         def loss(sg, sl):
-            r, t_k, _, _ = composite_segments(sg * spc, sl, ray_of, 3)
-            return a @ r + c @ t_k
+            t_k, _, w = segment_weights(sg * spc, ray_of, 3)
+            return a @ accumulate(w, sl, ray_of, 3) + c @ t_k
 
-        _, t_k, excl, w = composite_segments(sigma * spc, sig, ray_of, 3)
+        t_k, excl, w = segment_weights(sigma * spc, ray_of, 3)
         d_optical, d_signal = composite_segments_backward(sigma * spc, sig, ray_of,
                                                           excl, w, t_k, a, c)
         d_sigma = spc * d_optical

@@ -801,6 +801,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(batch_rays=0)
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("final_dims", dict(final_dims=(4, 4), stages=0)),
+        ("final_dims", dict(final_dims=(4, 4, 4, 4), stages=0)),
+        ("stages", dict(stages=-1)),
+    ], ids=["final_dims_two", "final_dims_four", "stages_negative"])
+    def test_bad_shape_values_rejected_naming_field(self, field, overrides):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**overrides)
+
     @pytest.mark.parametrize("total_iters", [-5, 0, 3])
     def test_bad_total_iters_named_with_default_stages(self, total_iters):
         with pytest.raises(ValueError, match="total_iters"):
