@@ -400,7 +400,7 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
         noise = rng.normal(0.0, rssi_noise_db, size=n_tx)
         for i in range(n_tx):
             if raw[i].sum() > 0:
-                rssi[i] = float(aggregate_rssi(raw[i], noise[i]))
+                rssi[i] = aggregate_rssi(raw[i], noise[i])
 
     out_dir = Path(out_dir)
     spectra_dir = out_dir / "spectra"

@@ -16,9 +16,17 @@ import numpy as np
 from .voxel_grid import Aabb, VoxelGrid, init_grid, interpolate
 
 
+def _floating(a) -> np.ndarray:
+    """a as an array, keeping a floating dtype and taking anything else to
+    float64."""
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(np.float64)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    z = np.asarray(z, dtype=np.float64)
+    """Numerically stable logistic function, in z's dtype if floating and
+    float64 otherwise."""
+    z = _floating(z)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -38,11 +46,14 @@ def positional_encode(p: np.ndarray, levels: int) -> np.ndarray:
     Applied independently to each input component; the raw components are not
     passed through. A (D,) input yields (2*L*D,), an (N, D) batch (N, 2*L*D)
     for any N >= 0; layout is component-major, then level, sin before cos.
+    A floating input keeps its dtype, any other is encoded in float64.
     """
-    arr = np.asarray(p, dtype=np.float64)
+    arr = _floating(p)
     single = arr.ndim <= 1
     arr = np.atleast_2d(arr)
-    freqs = np.pi * (2.0 ** np.arange(levels))
+    # in the input's dtype: float64 frequencies would take float32 input to
+    # float64
+    freqs = (np.pi * (2.0 ** np.arange(levels))).astype(arr.dtype)
     ang = arr[:, :, None] * freqs  # (N, D, L)
     out = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(
         arr.shape[0], 2 * levels * arr.shape[1])
@@ -57,7 +68,8 @@ def encoding_width(levels: int) -> int:
 @dataclass
 class Mlp:
     """Fully connected layers; weights are (out, in), biases (out,). Every
-    layer but the last is followed by a ReLU; the last is linear."""
+    layer but the last is followed by a ReLU; the last is linear. The net
+    computes in the dtype of its parameters."""
 
     weights: list
     biases: list
@@ -80,6 +92,11 @@ class Mlp:
     @property
     def output_width(self) -> int:
         return self.weights[-1].shape[0]
+
+    def astype(self, dtype) -> "Mlp":
+        """The same net with its parameters in dtype."""
+        return Mlp(weights=[w.astype(dtype) for w in self.weights],
+                   biases=[b.astype(dtype) for b in self.biases])
 
 
 def mlp_init(layer_sizes, rng: np.random.Generator) -> Mlp:
@@ -191,17 +208,26 @@ class FieldModel:
     def bbox(self) -> Aabb:
         return self.density_grid.bbox
 
+    @property
+    def net_dtype(self) -> np.dtype:
+        """The signal nets' compute dtype: that of their parameters."""
+        return self.radiance_net.weights[0].dtype
+
     def encode_positions(self, p: np.ndarray) -> np.ndarray:
-        """The nets' encoding of world positions, (3,) or (N, 3): the grid box
-        mapped onto [-1, 1]^3 (positions outside the box map outside the cube,
-        which the encoding tolerates), then `positional_encode`."""
+        """The nets' encoding of world positions, (3,) or (N, 3), in
+        `net_dtype`: the grid box mapped onto [-1, 1]^3 in float64 (positions
+        outside the box map outside the cube, which the encoding tolerates),
+        then `positional_encode`."""
         box = self.bbox
         unit = 2.0 * (np.asarray(p, dtype=np.float64) - box.min_corner) / box.extent - 1.0
-        return positional_encode(unit, self.enc_pos_levels)
+        return positional_encode(unit.astype(self.net_dtype, copy=False),
+                                 self.enc_pos_levels)
 
     def encode_directions(self, d: np.ndarray) -> np.ndarray:
-        """The nets' encoding of unit directions, (3,) or (N, 3)."""
-        return positional_encode(d, self.enc_dir_levels)
+        """The nets' encoding of unit directions, (3,) or (N, 3), in
+        `net_dtype`."""
+        return positional_encode(np.asarray(d, dtype=self.net_dtype),
+                                 self.enc_dir_levels)
 
     def parameters(self) -> dict:
         """Named parameter tensors in the fixed optimizer/checkpoint order."""
@@ -331,8 +357,10 @@ def static_terms(model: FieldModel, feat: np.ndarray, ray_of: np.ndarray,
                  keep_encodings: bool = False) -> StaticTerms:
     """StaticTerms of rows with features feat (N, F), position encodings
     enc_x (N, width) and owning rays ray_of, on rays with emission-direction
-    encodings enc_dir (R, width). keep_encodings keeps the encodings for
-    `signal_backward`."""
+    encodings enc_dir (R, width), the encodings in the nets' dtype. The
+    features are taken to the nets' dtype. keep_encodings keeps the
+    encodings for `signal_backward`."""
+    feat = feat.astype(model.net_dtype, copy=False)
     x_pre = None
     if model.deform_enabled:
         w0 = model.deform_net.weights[0]
@@ -383,7 +411,8 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
 def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: GradientSet):
     """Adjoint of signal_forward (taken with want_cache=True from StaticTerms
     that kept their encodings) at the float array d_signal; adds the MLP
-    gradients into grads, returns d_feat.
+    gradients into grads, returns d_feat. The nets' gradients are taken in
+    their dtype, and so is d_feat.
 
     The gradient of the corrected feature flows both to the static feature
     (returned, for the grid scatter) and through the deformation net. The
@@ -391,7 +420,7 @@ def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: Gradi
     weight gradients.
     """
     de_cache, rad_cache, s, static = cache
-    d_logit = d_signal * (s * (1.0 - s))
+    d_logit = (d_signal * (s * (1.0 - s))).astype(s.dtype, copy=False)
     d_feat = mlp_backward(model.radiance_net, rad_cache[1:], d_logit[:, None], grads,
                           "radiance", (rad_cache[0], static.enc_dir[static.ray_of])
                           ) @ model.radiance_net.weights[0][:, :model.feature_dim]

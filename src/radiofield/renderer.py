@@ -376,7 +376,9 @@ def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
     voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_raw[:, None],
                                      grads["density_grid"])
     d_feat = field_model.signal_backward(model, trace.sig_cache, d_signal, grads)
-    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_feat,
+    # d_feat is in the nets' dtype; the grid gradient is summed in float64
+    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights,
+                                     d_feat.astype(np.float64, copy=False),
                                      grads["feature_grid"])
 
 
@@ -497,4 +499,4 @@ def aggregate_rssi(spectrum: np.ndarray, calibration_db: float = 0.0) -> float:
     total = float(spectrum.sum())
     if total <= 0.0:
         raise ValueError("no received power: spectrum sums to zero")
-    return 10.0 * np.log10(total) + calibration_db
+    return float(10.0 * np.log10(total) + calibration_db)

@@ -155,7 +155,8 @@ class AdamState:
 
 
 # Elements per Adam block: six block-sized arrays (parameter, gradient, two
-# moments, two scratch buffers) of float64 stay within a typical L2 cache.
+# moments, two scratch buffers) stay within a typical L2 cache in float64, the
+# grids' dtype (the float32 nets take half of it).
 _ADAM_BLOCK = 1 << 14
 
 
@@ -339,6 +340,11 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     changed); MLP moments persist. Gradients accumulate into one GradientSet
     per stage, zeroed in place before every backward pass.
 
+    The nets train in float32: train() casts the seeded initial nets once,
+    and their passes, gradients and Adam moments and the encodings they read
+    follow. Grids, compositing, losses and grid Adam stay float64; the
+    returned model keeps float32 nets.
+
     The grid gradients and grid Adam moments of a stage cover only its
     reached rows, the grid nodes in the stage table's trilinear support
     (`_StageCache.grid_rows`), and each step's Adam update touches only
@@ -375,6 +381,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
         density_bias=config.density_bias, enc_pos_levels=config.enc_pos_levels,
         enc_dir_levels=config.enc_dir_levels)
     model.deform_enabled = config.deform_enabled
+    model.deform_net = model.deform_net.astype(np.float32)
+    model.radiance_net = model.radiance_net.astype(np.float32)
 
     # a quarter of the final voxel edge in every stage, so upsample events
     # change only the representation, not the quadrature

@@ -1,5 +1,7 @@
 """Field model: encodings, activations, query outputs, exact backprop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from radiofield.field_model import (
     positional_encode,
     query_density,
     query_signal,
+    sigmoid,
+    signal_backward,
 )
 from radiofield.renderer import (
     SampleTable,
@@ -109,6 +113,73 @@ class TestModelEncodings:
         want = positional_encode(-d, m.enc_dir_levels)
         assert np.array_equal(m.encode_directions(-d), want)
         assert np.array_equal(m.encode_directions(-d[3]), want[3])
+
+
+def float32_nets(model):
+    """model with its nets cast to float32, as train() runs them."""
+    model.deform_net = model.deform_net.astype(np.float32)
+    model.radiance_net = model.radiance_net.astype(np.float32)
+    return model
+
+
+class TestNetDtype:
+    """The nets compute in their parameters' dtype; the encodings they read
+    follow it, and nothing upcasts a float32 pass to float64."""
+
+    @pytest.mark.parametrize("dtype, want", [(np.float32, np.float32),
+                                             (np.float64, np.float64),
+                                             (np.int64, np.float64)])
+    def test_sigmoid_and_encoding_keep_floating_dtype(self, dtype, want):
+        z = np.array([[-2, 0, 3], [1, -1, 2]], dtype=dtype)
+        assert sigmoid(z).dtype == want
+        assert positional_encode(z, 3).dtype == want
+        assert positional_encode(z[0], 3).dtype == want
+        np.testing.assert_allclose(positional_encode(z, 3),
+                                   positional_encode(z.astype(np.float64), 3),
+                                   atol=1e-5)
+
+    @pytest.mark.parametrize("nets, dtype, want", [
+        ("float64", np.float64, np.float64), ("float64", np.int64, np.float64),
+        ("float32", np.float64, np.float32), ("float32", np.float32, np.float32),
+        ("float32", np.int64, np.float32)])
+    def test_model_encodings_follow_the_nets(self, nets, dtype, want):
+        m = tiny_model()
+        if nets == "float32":
+            m = float32_nets(m)
+        p = np.array([[0, 1, 0], [1, 0, 0]], dtype=dtype)
+        assert m.net_dtype == np.dtype(nets)
+        assert m.encode_positions(p).dtype == want
+        assert m.encode_positions(p[0]).dtype == want
+        assert m.encode_directions(p).dtype == want
+
+    def test_float32_pass_matches_float64_on_the_same_weights(self):
+        # The finite-difference checks cover the float64 pass only; this
+        # holds the float32 forward and adjoint to it, on nets whose float32
+        # weights are exact in float64.
+        rng = np.random.default_rng(8)
+        m32 = float32_nets(tiny_model(seed=9, feature_dim=4, width=16, dims=(5, 5, 5)))
+        m32.density_grid.values[:] = rng.normal(size=m32.density_grid.values.shape)
+        m32.feature_grid.values[:] = rng.normal(size=m32.feature_grid.values.shape)
+        m64 = dataclasses.replace(m32, deform_net=m32.deform_net.astype(np.float64),
+                                  radiance_net=m32.radiance_net.astype(np.float64))
+        args = (np.array([0.7, 0.3, 0.6]), np.array([0, 1, 4, 6, 7]),
+                rng.normal(size=5), rng.normal(size=5))
+        (g32, loss32, t32), (g64, loss64, t64) = (ray_gradient(m, *args)
+                                                  for m in (m32, m64))
+        assert t32.signal_kept.dtype == np.float32
+        assert t64.signal_kept.dtype == np.float64
+        np.testing.assert_allclose(t32.signal_kept, t64.signal_kept, rtol=1e-5)
+        assert loss32() == pytest.approx(loss64(), rel=1e-5)
+        # a float64 upstream, as the compositing adjoint gives, does not take
+        # the nets' adjoint to float64
+        d_feat = signal_backward(m32, t32.sig_cache, np.ones(len(t32.signal_kept)),
+                                 GradientSet.zeros_like(m32))
+        assert d_feat.dtype == np.float32
+        for name, want in g64.buffers.items():
+            got = g32[name]
+            assert got.dtype == m32.parameters()[name].dtype, name
+            np.testing.assert_allclose(got, want, rtol=1e-4,
+                                       atol=1e-4 * np.abs(want).max(), err_msg=name)
 
 
 class TestQueryDensity:

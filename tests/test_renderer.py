@@ -497,6 +497,10 @@ class TestAggregateRssi:
         spec = np.ones((5, 2))
         assert aggregate_rssi(spec, 0.0) == pytest.approx(10.0, abs=1e-12)
 
+    @pytest.mark.parametrize("calibration", [0.0, np.float64(-2.5)])
+    def test_returns_python_float(self, calibration):
+        assert type(aggregate_rssi(np.ones((2, 2)), calibration)) is float
+
     def test_doubling_adds_three_db(self):
         rng = np.random.default_rng(17)
         spec = rng.uniform(0.1, 1.0, size=(6, 4))

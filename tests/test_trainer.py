@@ -7,13 +7,20 @@ import pytest
 
 from fd_check import kink_aware_differences, pipeline_gradient
 from radiofield import trainer
-from radiofield.dataio import Blob, SyntheticScene, generate_dataset
+from radiofield.dataio import (
+    Blob,
+    SyntheticScene,
+    generate_dataset,
+    load_checkpoint,
+    save_checkpoint,
+)
 from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SceneGeometry,
     all_directions,
     default_step,
     direction_from_angles,
+    render_spectra,
     sample_rays,
 )
 from radiofield.trainer import (
@@ -264,10 +271,50 @@ class TestTrainLoop:
         fresh = init_field_model(ds.geometry.bbox, cfg.final_dims, cfg.feature_dim,
                                  cfg.mlp_width, seed=cfg.seed,
                                  density_bias=cfg.density_bias)
+        # train() runs the nets in float32: they are the cast initial nets
+        fresh.deform_net = fresh.deform_net.astype(np.float32)
+        fresh.radiance_net = fresh.radiance_net.astype(np.float32)
         for (na, a), (nb, b) in zip(result.model.parameters().items(),
                                     fresh.parameters().items()):
-            assert na == nb and np.array_equal(a, b)
+            assert na == nb and a.dtype == b.dtype and np.array_equal(a, b)
         assert result.history == []
+
+    def test_nets_train_in_float32_and_grids_in_float64(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))
+        built = capture_stage_cache(monkeypatch)
+        dtypes = {}  # parameter name -> its (gradient, m, v) dtypes over all steps
+        original = trainer.adam_step
+
+        def spy(params, grads, state, lr, rows=None):
+            for name in params:
+                dtypes.setdefault(name, set()).add(
+                    (grads[name].dtype, state.m[name].dtype, state.v[name].dtype))
+            return original(params, grads, state, lr, rows=rows)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        result = train(ds, smoke_config(total_iters=3))
+        params = result.model.parameters()
+        assert dtypes.keys() == params.keys()
+        for name, p in params.items():
+            want = np.float64 if name in trainer.GRID_PARAM_NAMES else np.float32
+            assert p.dtype == want, name
+            assert dtypes[name] == {(np.dtype(want),) * 3}, name
+        assert built[0].enc_x.dtype == built[0].emission_enc.dtype == np.float32
+
+    def test_checkpoint_of_trained_model_loads_float64_nets(self, tmp_path):
+        ds = small_dataset(tmp_path, n_tx=4, res=(8, 4))
+        model = train(ds, smoke_config(total_iters=30, tau=1e-4)).model
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for name, p in model.parameters().items():
+            got = loaded.parameters()[name]
+            # float32 nets round-trip exactly; grids are stored as float32
+            want = p.astype(np.float32).astype(np.float64)
+            assert got.dtype == np.float64 and np.array_equal(got, want), name
+        tx = ds.tx_positions()[:2]
+        in_memory = render_spectra(model, ds.geometry, tx, tau=1e-4)
+        np.testing.assert_allclose(render_spectra(loaded, ds.geometry, tx, tau=1e-4),
+                                   in_memory, rtol=1e-5, atol=1e-6 * in_memory.max())
 
     def test_batched_forward_matches_single_ray_renderer(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=4, res=(8, 4))
@@ -366,8 +413,8 @@ class TestTrainLoop:
         # deformation net untouched by training
         from radiofield.field_model import init_field_model
         fresh = init_field_model(ds.geometry.bbox, (16, 16, 16), 4, 16, seed=1)
-        assert np.array_equal(result.model.deform_net.weights[0],
-                              fresh.deform_net.weights[0])
+        trained = result.model.deform_net.weights[0]
+        assert np.array_equal(trained, fresh.deform_net.weights[0].astype(trained.dtype))
 
 
     def test_grid_steps_match_dense_references_end_to_end(self, tmp_path,
