@@ -451,7 +451,8 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
             fh.write(name_b)
             fh.write(struct.pack("<I", tensor.ndim))
             fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            # through the buffer protocol: no bytes copy of the float32 array
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
     os.replace(tmp, path)
 
 

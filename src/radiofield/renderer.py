@@ -12,11 +12,12 @@ the samples and shared trilinear support of a set of directions, and
 compositing of all rays done over per-ray segments in one pass;
 `backward_segments` is its adjoint. The forward is a `density_pass`, which
 does everything the transmitter does not touch, followed by a `signal_pass`
-for one transmitter position (or one per ray). `render_spectra` runs one
-table and one density pass for many transmitters and one signal pass each; a
-spectrum render is its one-transmitter case, `trace_ray` the forward over a
-one-direction table, and the trainer's batches the forward over cells of its
-stage table.
+for one transmitter position (or one per ray). `render_spectra` walks the
+spectrum's directions in blocks of whole rays of bounded sample count, and
+runs one table and one density pass per block for many transmitters and one
+signal pass each; a spectrum render is its one-transmitter case, `trace_ray`
+the forward over a one-direction table, and the trainer's batches the forward
+over cells of its stage table.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .field_model import (
     static_terms,
 )
 from .voxel_grid import Aabb, voxel_edge
+
+# Samples per render block: a spectrum render's transient memory (its sample
+# table, encodings and activations, ~2 KB per sample at width 64) is bounded
+# by this budget, not by the spectrum.
+_RENDER_BLOCK = 1 << 13
 
 
 @dataclass
@@ -107,6 +113,13 @@ def default_step(bbox: Aabb, dims) -> float:
     return voxel_edge(bbox, dims) / 4.0
 
 
+def _sample_counts(geometry: SceneGeometry, dirs: np.ndarray, step: float):
+    """Exit distance t_far and sample count K = floor(t_far / step) of every
+    receiver ray, directions (B, 3)."""
+    t_far = clip_rays(geometry.rx_position, dirs, geometry.bbox)
+    return t_far, np.floor(t_far / step).astype(np.int64)
+
+
 def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
     """Uniform samples along receiver rays, clipped to the scene box.
 
@@ -119,8 +132,7 @@ def sample_rays(geometry: SceneGeometry, directions: np.ndarray, step: float):
     if step <= 0:
         raise ValueError("step must be positive")
     dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
-    t_far = clip_rays(geometry.rx_position, dirs, geometry.bbox)
-    counts = np.floor(t_far / step).astype(np.int64)
+    t_far, counts = _sample_counts(geometry, dirs, step)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ray_of = np.repeat(np.arange(len(dirs)), counts)
     r = (np.arange(offsets[-1]) - offsets[ray_of] + 0.5) * step
@@ -223,7 +235,7 @@ class SampleTable:
     depend only on the geometry and the step, their support also on the grid
     dims and box, so one table serves every transmitter and every parameter
     update, and after the grids are resampled `resupport` renews the support
-    alone.
+    alone. A spectrum render builds one table per block of its directions.
     emission_enc holds each ray's emission-direction encoding. enc_x holds
     every sample's position encoding (`FieldModel.encode_positions`) when the
     table's owner caches them; it is None otherwise, and `density_pass`
@@ -448,27 +460,55 @@ class SpectrumTrace:
     n_kept: int
 
 
+def _ray_blocks(geometry: SceneGeometry, directions: np.ndarray, step: float):
+    """Slices of consecutive directions whose sample counts (`sample_rays`'
+    floor rule) sum to at most _RENDER_BLOCK; a longer ray gets a block of
+    its own, and every direction lands in exactly one block."""
+    counts = _sample_counts(geometry, directions, step)[1]
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _RENDER_BLOCK, side="right")),
+                   start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
 def _render_spectra(model: FieldModel, geometry: SceneGeometry, txs, tau: float):
-    """One full-spectrum table and `density_pass` at the grid's default step,
-    then one `signal_pass` per transmitter of txs (T, 3); returns the table,
-    the density pass and the (T, M, N) spectra."""
+    """Spectra of transmitters txs (T, 3) at the grid's default step, over the
+    spectrum's directions in blocks of whole rays (`_ray_blocks`): per block
+    one `SampleTable` and `density_pass`, then one `signal_pass` per
+    transmitter. Returns the (T, M, N) spectra and the render's
+    `SpectrumTrace`."""
     txs = _checked_transmitters(txs, tau)
     if txs.ndim != 2 or txs.shape[1] != 3:
         raise ValueError(f"transmitters must have shape (T, 3), got {txs.shape}")
-    table = SampleTable(geometry, model)
-    trace = density_pass(model, table, np.arange(geometry.n_directions), tau)
-    spectra = np.empty((len(txs), geometry.n_directions))
-    for j, tx in enumerate(txs):
-        spectra[j] = signal_pass(model, trace, tx)[0]
-    return table, trace, spectra.reshape(len(txs), *geometry.spectrum_res)
+    step = default_step(geometry.bbox, model.density_grid.dims)
+    dirs = all_directions(geometry.spectrum_res)
+    spectra = np.empty((len(txs), len(dirs)))
+    stats = SpectrumTrace(final_transmittance=np.empty(len(dirs)), n_samples=0,
+                          n_kept=0)
+    for block in _ray_blocks(geometry, dirs, step):
+        table = SampleTable(geometry, model, step, dirs[block])
+        trace = density_pass(model, table, np.arange(len(table.counts)), tau)
+        for j, tx in enumerate(txs):
+            spectra[j, block] = signal_pass(model, trace, tx)[0]
+        stats.final_transmittance[block] = trace.t_final
+        stats.n_samples += len(table.spacings)
+        stats.n_kept += len(trace.ray_of_kept)
+    return spectra.reshape(len(txs), *geometry.spectrum_res), stats
 
 
 def render_spectra(model: FieldModel, geometry: SceneGeometry, txs: np.ndarray, *,
                    tau: float = 0.0) -> np.ndarray:
     """Spatial spectra for T transmitter positions (T, 3): a (T, M, N) array,
-    entry j equal to render_spectrum of txs[j]. The sampling, density and
-    every transmitter-independent term are computed once for all of them."""
-    return _render_spectra(model, geometry, txs, tau)[2]
+    entry j equal to render_spectrum of txs[j]. The rays are rendered in
+    blocks of at most a fixed number of samples, so memory is bounded by the
+    block and not by the spectrum; within a block, the sampling, density and
+    every transmitter-independent term are computed once for all
+    transmitters."""
+    return _render_spectra(model, geometry, txs, tau)[0]
 
 
 def render_spectrum(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray, *,
@@ -483,11 +523,11 @@ def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
                            tx: np.ndarray, *, tau: float = 0.0):
     """render_spectrum plus per-ray transmittance and skip statistics: the
     one-transmitter case of `render_spectra`."""
-    table, trace, spectra = _render_spectra(
-        model, geometry, np.asarray(tx, dtype=np.float64)[None], tau)
-    return spectra[0], SpectrumTrace(final_transmittance=trace.t_final,
-                                     n_samples=len(table.spacings),
-                                     n_kept=len(trace.ray_of_kept))
+    tx = np.asarray(tx, dtype=np.float64)
+    if tx.shape != (3,):
+        raise ValueError(f"tx must have shape (3,), got {tx.shape}")
+    spectra, stats = _render_spectra(model, geometry, tx[None], tau)
+    return spectra[0], stats
 
 
 def aggregate_rssi(spectrum: np.ndarray, calibration_db: float = 0.0) -> float:

@@ -313,6 +313,29 @@ class TestCheckpoint:
         assert back.deform_enabled == m.deform_enabled
         assert back.density_bias == m.density_bias
 
+    @pytest.mark.parametrize("net_dtype", [np.float64, np.float32])
+    def test_payload_is_each_tensors_float32_bytes(self, tmp_path, net_dtype):
+        # trained models carry float32 nets next to float64 grids
+        m = self.make_model()
+        m.deform_net = m.deform_net.astype(net_dtype)
+        m.radiance_net = m.radiance_net.astype(net_dtype)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m)
+        blob = path.read_bytes()
+        off = 12 + struct.unpack_from("<4sII", blob, 0)[2]
+        params = m.parameters()
+        assert struct.unpack_from("<I", blob, off)[0] == len(params)
+        off += 4
+        for name, tensor in params.items():
+            (n,) = struct.unpack_from("<I", blob, off)
+            assert blob[off + 4:off + 4 + n] == name.encode("utf-8")
+            off += 4 + n
+            off += 4 + 4 * struct.unpack_from("<I", blob, off)[0]
+            want = tensor.astype("<f4").tobytes()
+            assert blob[off:off + len(want)] == want, name
+            off += len(want)
+        assert off == len(blob)
+
     def test_activation_keys_written(self, tmp_path):
         # the nets' activations are fixed, but the format still records them
         save_checkpoint(tmp_path / "m.ckpt", self.make_model())

@@ -1,9 +1,15 @@
 """Rays and compositing: geometry closed forms, conservation, the ray engine
 against a per-ray reference, the compositing adjoint against finite differences."""
 
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from radiofield import renderer
 from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SampleTable,
@@ -398,6 +404,12 @@ class TestRenderSpectrum:
                 r, _ = reference_ray(m, geo, tx, d, step, tau=0.01)
                 assert spec[m_i, n_i] == pytest.approx(r, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2,)])
+    def test_transmitter_of_wrong_shape_rejected_naming_its_shape(self, shape):
+        for render in (render_spectrum, render_spectrum_traced):
+            with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+                render(smooth_model(), demo_geometry(), np.zeros(shape))
+
     def test_transmitter_outside_box_allowed(self):
         m = smooth_model(seed=14)
         spec = render_spectrum(m, demo_geometry(), np.array([5.0, 5.0, 5.0]))
@@ -490,6 +502,104 @@ class TestRenderSpectra:
             txs[1, 2] = bad
         with pytest.raises(ValueError):
             render_spectra(smooth_model(), demo_geometry(), txs, tau=tau)
+
+
+def corner_geometry(res=(8, 4)):
+    # rays leaving the box at once have no samples
+    return SceneGeometry(rx_position=-np.ones(3), bbox=centered_box(), spectrum_res=res)
+
+
+def face_geometry(res=(8, 4)):
+    return SceneGeometry(rx_position=np.array([0.3, -1.0, -0.2]), bbox=centered_box(),
+                         spectrum_res=res)
+
+
+class TestRenderBlocks:
+    """Spectra rendered in blocks of whole rays of at most _RENDER_BLOCK
+    samples; today's geometries fit one block unless the budget shrinks."""
+
+    BUDGETS = [1, 7, 50]
+    GEOMETRIES = [demo_geometry, corner_geometry, face_geometry]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("make_geometry", GEOMETRIES)
+    def test_blocks_cover_every_direction_once_within_budget(self, monkeypatch,
+                                                             budget, make_geometry):
+        monkeypatch.setattr(renderer, "_RENDER_BLOCK", budget)
+        geo = make_geometry()
+        dirs = all_directions(geo.spectrum_res)
+        step = default_step(geo.bbox, (6, 6, 6))
+        counts = np.diff(sample_rays(geo, dirs, step)[2])
+        blocks = list(renderer._ray_blocks(geo, dirs, step))
+        covered = np.concatenate([np.arange(len(dirs))[b] for b in blocks])
+        assert np.array_equal(covered, np.arange(len(dirs)))
+        for b in blocks:
+            # a ray longer than the budget is a block of its own
+            assert counts[b].sum() <= budget or b.stop - b.start == 1
+        assert (counts == 0).any() == (make_geometry is not demo_geometry)
+        assert (counts > budget).any() == (budget < 50)  # some ray outgrows it
+        assert len(blocks) > 1
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("make_geometry", GEOMETRIES)
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_blocked_render_matches_one_block(self, monkeypatch, budget,
+                                              make_geometry, tau):
+        m = smooth_model(seed=31)
+        m.density_grid.values[:] -= 7.0  # tau 1e-4 skips some of the samples
+        geo = make_geometry()
+        txs = np.random.default_rng(32).uniform(-1.5, 1.5, (3, 3))
+        whole, whole_stats = render_spectra(m, geo, txs, tau=tau), \
+            render_spectrum_traced(m, geo, txs[0], tau=tau)[1]
+        monkeypatch.setattr(renderer, "_RENDER_BLOCK", budget)
+        spectra = render_spectra(m, geo, txs, tau=tau)
+        for j, tx in enumerate(txs):
+            assert np.array_equal(spectra[j], render_spectrum(m, geo, tx, tau=tau))
+        np.testing.assert_allclose(spectra, whole, rtol=1e-12, atol=1e-15)
+        _, stats = render_spectrum_traced(m, geo, txs[0], tau=tau)
+        assert np.array_equal(stats.final_transmittance,
+                              whole_stats.final_transmittance)
+        assert (stats.n_samples, stats.n_kept) == (whole_stats.n_samples,
+                                                   whole_stats.n_kept)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("make_geometry", GEOMETRIES)
+    def test_blocked_render_matches_per_ray_reference(self, monkeypatch, budget,
+                                                      make_geometry):
+        monkeypatch.setattr(renderer, "_RENDER_BLOCK", budget)
+        m = smooth_model(seed=33)
+        geo = make_geometry(res=(4, 2))
+        tx = np.array([0.2, 0.2, 0.2])
+        spec = render_spectrum(m, geo, tx, tau=0.01)
+        step = default_step(geo.bbox, m.density_grid.dims)
+        for m_i in range(4):
+            for n_i in range(2):
+                d = direction_from_angles(m_i, n_i, geo.spectrum_res)
+                r, _ = reference_ray(m, geo, tx, d, step, tau=0.01)
+                assert spec[m_i, n_i] == pytest.approx(r, rel=1e-12, abs=1e-15)
+
+    def test_render_memory_is_bounded_by_the_block(self):
+        # 572,520 samples: rendered in one pass, their table, encodings and
+        # activations peak at ~1.2 GB
+        script = """
+import resource
+import numpy as np
+from radiofield import cli
+from radiofield.field_model import init_field_model
+from radiofield.renderer import SceneGeometry, render_spectrum_traced
+_, demo = cli.builtin_scene("demo")
+geo = SceneGeometry(demo.rx_position, demo.bbox, (360, 90))
+model = init_field_model(geo.bbox, (8, 8, 8), 8, 64, seed=0)
+_, stats = render_spectrum_traced(model, geo, np.array([1.0, 2.0, 1.0]))
+print(stats.n_samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        n_samples, peak_kb = map(int, proc.stdout.split())
+        assert n_samples == 572_520
+        assert peak_kb / 1024 < 200
 
 
 class TestAggregateRssi:
