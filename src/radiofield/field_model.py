@@ -328,7 +328,7 @@ def query_density(model: FieldModel, x: np.ndarray) -> np.ndarray:
 
 def _check_unit(dirs: np.ndarray):
     norms = np.linalg.norm(np.atleast_2d(dirs), axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN direction fails too
         raise ValueError(f"directions must be unit vectors, |dir| in "
                          f"[{norms.min():.8f}, {norms.max():.8f}]")
 

@@ -236,10 +236,9 @@ class SampleTable:
     dims and box, so one table serves every transmitter and every parameter
     update, and after the grids are resampled `resupport` renews the support
     alone. A spectrum render builds one table per block of its directions.
-    emission_enc holds each ray's emission-direction encoding. enc_x holds
-    every sample's position encoding (`FieldModel.encode_positions`) when the
-    table's owner caches them; it is None otherwise, and `density_pass`
-    encodes the kept samples of each call.
+    emission_enc holds each ray's emission-direction encoding; the samples'
+    position encodings are not held, `density_pass` encodes the kept samples
+    of each call.
     """
 
     def __init__(self, geometry: SceneGeometry, model: FieldModel,
@@ -252,7 +251,6 @@ class SampleTable:
         self.emission_enc = model.encode_directions(-dirs)
         self.positions, self.spacings, self.offsets = sample_rays(geometry, dirs, step)
         self.counts = np.diff(self.offsets)
-        self.enc_x = None
         self.resupport(model)
 
     def resupport(self, model: FieldModel) -> None:
@@ -296,8 +294,8 @@ def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
     cells picks the table ray of each rendered ray. Samples with density
     below tau are skipped; the compositing weights, the static features and
     the static first-layer terms of the signal nets (`StaticTerms`) cover the
-    kept samples only. keep_encodings keeps the encodings the backward pass
-    needs.
+    kept samples only, which each call encodes. keep_encodings keeps the
+    encodings the backward pass needs.
     """
     cells = np.asarray(cells)
     n_rays, counts = len(cells), table.counts[cells]
@@ -316,10 +314,9 @@ def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
     t_out, excl, w = segment_weights(optical, rk, n_rays)
 
     feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx], kept_weights)
-    enc_x = (model.encode_positions(table.positions[rows_kept]) if table.enc_x is None
-             else table.enc_x[rows_kept])
-    static = static_terms(model, feat, rk, enc_x, table.emission_enc[cells],
-                          keep_encodings)
+    static = static_terms(model, feat, rk,
+                          model.encode_positions(table.positions[rows_kept]),
+                          table.emission_enc[cells], keep_encodings)
     return SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
                         kept_idx=kept_idx, kept_weights=kept_weights,
                         raw_kept=raw[kept], ray_of_kept=rk,
@@ -433,12 +430,24 @@ def _checked_transmitters(tx, tau: float) -> np.ndarray:
     return tx
 
 
+def _one_transmitter(tx) -> np.ndarray:
+    """tx as a float array, once it has the shape (3,) of one position."""
+    tx = np.asarray(tx, dtype=np.float64)
+    if tx.shape != (3,):
+        raise ValueError(f"tx must have shape (3,), got {tx.shape}")
+    return tx
+
+
 def trace_ray(model: FieldModel, geometry: SceneGeometry, tx: np.ndarray,
               direction: np.ndarray, tau: float = 0.0) -> RayTrace:
     """Render one ray keeping all intermediates (for tests and diagnostics):
-    `forward_segments` over a one-direction table at the grid's default step."""
-    tx = _checked_transmitters(tx, tau)
+    `forward_segments` over a one-direction table at the grid's default step.
+    tx is one position (3,), direction one finite unit 3-vector."""
+    tx = _checked_transmitters(_one_transmitter(tx), tau)
     direction = np.asarray(direction, dtype=np.float64)
+    if direction.shape != (3,):
+        raise ValueError(f"direction must be one 3-vector, got shape {direction.shape}")
+    field_model._check_unit(direction)
     table = SampleTable(geometry, model, directions=direction)
     r_out, t_out, trace = forward_segments(model, table, tx, np.arange(1), tau)
     signal = np.zeros(len(table.spacings))
@@ -523,10 +532,7 @@ def render_spectrum_traced(model: FieldModel, geometry: SceneGeometry,
                            tx: np.ndarray, *, tau: float = 0.0):
     """render_spectrum plus per-ray transmittance and skip statistics: the
     one-transmitter case of `render_spectra`."""
-    tx = np.asarray(tx, dtype=np.float64)
-    if tx.shape != (3,):
-        raise ValueError(f"tx must have shape (3,), got {tx.shape}")
-    spectra, stats = _render_spectra(model, geometry, tx[None], tau)
+    spectra, stats = _render_spectra(model, geometry, _one_transmitter(tx)[None], tau)
     return spectra[0], stats
 
 
@@ -534,8 +540,10 @@ def aggregate_rssi(spectrum: np.ndarray, calibration_db: float = 0.0) -> float:
     """Received signal strength in dB: 10*log10 of the spectrum's total linear
     power plus a calibration offset."""
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if np.any(spectrum < 0):
-        raise ValueError("spectrum values must be nonnegative")
+    if not np.all((spectrum >= 0) & np.isfinite(spectrum)):
+        raise ValueError("spectrum values must be finite and nonnegative")
+    if not np.isfinite(calibration_db):
+        raise ValueError(f"calibration_db must be finite, got {calibration_db}")
     total = float(spectrum.sum())
     if total <= 0.0:
         raise ValueError("no received power: spectrum sums to zero")

@@ -3,9 +3,9 @@
 Batches are rendered and differentiated by the renderer's ray engine. Ray
 geometry is fixed for a whole run (receiver, box, direction set, and step
 size do not change at upsample events), so a run builds one sample table over
-every spectrum direction, which also caches every sample's position encoding,
-and an upsample event renews only the table's trilinear support; each
-iteration renders its (transmitter, direction-cell) rays from that table with
+every spectrum direction, holding only the samples and their trilinear
+support, and an upsample event renews only that support; each iteration
+renders its (transmitter, direction-cell) rays from that table with
 `forward_segments` and backpropagates with `backward_segments`.
 
 Only grid nodes in the table's support (its reached rows, `grid_rows`) can
@@ -286,22 +286,9 @@ class _StageCache(SampleTable):
     """The sample table of a training run, over every spectrum direction;
     `resupport` it after the grids are resampled.
 
-    Every iteration gathers its batch from this table, so it also caches
-    every sample's position encoding. grid_rows holds the sorted grid nodes of
-    the table's support, the only nodes a training gradient can reach and the
-    only grid rows Adam updates. With grad_radius r0 given, grad_scale holds
-    each sample's training gradient scale min(1, (r / r0)^2), r its distance
-    from the receiver; without it grad_scale is None.
+    grid_rows holds the sorted grid nodes of the table's support, the only
+    nodes a training gradient can reach and the only grid rows Adam updates.
     """
-
-    def __init__(self, geometry: SceneGeometry, model: FieldModel, step: float,
-                 grad_radius: float | None = None):
-        super().__init__(geometry, model, step)
-        self.enc_x = model.encode_positions(self.positions)
-        self.grad_scale = None
-        if grad_radius is not None:
-            r = np.linalg.norm(self.positions - geometry.rx_position, axis=1)
-            self.grad_scale = np.minimum(1.0, (r / grad_radius) ** 2)
 
     def resupport(self, model: FieldModel) -> None:
         super().resupport(model)
@@ -360,7 +347,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     sample's distance from the receiver and r0 = near_receiver_radius(geometry,
     final_dims) the distance at which neighbouring directions are one final
     voxel apart (the gradient scaling of Philip & Deschaintre, "Floaters No
-    More", EGSR 2023). Losses, eval_rays and rendering are not scaled.
+    More", EGSR 2023); the scales of all stage-table samples are computed
+    once per run. Losses, eval_rays and rendering are not scaled.
 
     log_fn, when given, receives one CSV line per log interval:
     ``iter,spectrum_loss,bg_loss,total,lr_grid,lr_mlp``. eval_rays, when
@@ -387,8 +375,10 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     # a quarter of the final voxel edge in every stage, so upsample events
     # change only the representation, not the quadrature
     step = default_step(geometry.bbox, config.final_dims)
-    cache = _StageCache(geometry, model, step,
-                        near_receiver_radius(geometry, config.final_dims))
+    cache = _StageCache(geometry, model, step)
+    r0 = near_receiver_radius(geometry, config.final_dims)
+    r = np.linalg.norm(cache.positions - geometry.rx_position, axis=1)
+    grad_scale = np.minimum(1.0, (r / r0) ** 2)
     grid_params, grads, adam_grid = _grid_stage(model, cache.grid_rows)
     mlp_params = {k: p for k, p in model.parameters().items() if k not in grid_params}
     adam_mlp = AdamState.for_params(mlp_params)
@@ -424,7 +414,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 
         grads.zero()
         _backward_batch(model, trace, d_r, config.bg_weight * d_t, grads,
-                        sample_scale=cache.grad_scale[trace.rows_kept])
+                        sample_scale=grad_scale[trace.rows_kept])
         lr_g = lr_at(it, config.lr_grid, config.total_iters,
                      config.lr_decay_target_fraction)
         lr_m = lr_at(it, config.lr_mlp, config.total_iters,

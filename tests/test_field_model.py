@@ -300,8 +300,9 @@ class TestQuerySignal:
 
     def test_non_unit_direction_rejected(self):
         m = tiny_model()
-        with pytest.raises(ValueError):
-            query_signal(m, np.full(3, 0.5), np.zeros(3), np.array([0.0, 0.0, 1.1]))
+        for direction in ([0.0, 0.0, 1.1], [np.nan, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="unit vectors"):
+                query_signal(m, np.full(3, 0.5), np.zeros(3), np.array(direction))
 
 
 class TestModelBackward:

@@ -314,6 +314,22 @@ class TestRenderRay:
             trace_ray(smooth_model(), demo_geometry(), np.array([0.0, bad, 0.0]),
                       np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("tx, direction, match", [
+        (np.zeros((2, 3)), [0.0, 0.0, 1.0], r"tx must have shape \(3,\), got \(2, 3\)"),
+        (np.zeros((1, 3)), [0.0, 0.0, 1.0], r"tx must have shape \(3,\), got \(1, 3\)"),
+        (np.zeros(4), [0.0, 0.0, 1.0], r"tx must have shape \(3,\), got \(4,\)"),
+        (np.zeros(3), [0.0, 0.0, 0.0], "unit vectors"),
+        (np.zeros(3), [0.0, 0.0, 2.0], "unit vectors"),
+        (np.zeros(3), [0.0, 0.0, 1.0 + 2e-6], "unit vectors"),
+        (np.zeros(3), [[0.0, 0.0, 1.0]] * 2, "one 3-vector"),
+        (np.zeros(3), [0.0, 1.0], "one 3-vector"),
+        (np.zeros(3), [np.nan, 0.0, 1.0], "unit vectors"),
+        (np.zeros(3), [0.0, np.inf, 1.0], "unit vectors"),
+    ])
+    def test_bad_transmitter_or_direction_rejected(self, tx, direction, match):
+        with pytest.raises(ValueError, match=match):
+            trace_ray(smooth_model(), demo_geometry(), tx, np.array(direction))
+
     def test_fully_skipped_ray_is_the_zero_row_pass(self):
         m = smooth_model()
         m.density_grid.values[:] = -1000.0  # softplus underflows to zero
@@ -626,6 +642,16 @@ class TestAggregateRssi:
     def test_zero_spectrum_rejected(self):
         with pytest.raises(ValueError):
             aggregate_rssi(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_negative_or_non_finite_spectrum_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            aggregate_rssi(np.array([[bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_rejected(self, bad):
+        with pytest.raises(ValueError, match="calibration_db must be finite"):
+            aggregate_rssi(np.ones((2, 2)), bad)
 
 
 class TestSceneGeometry:

@@ -1,5 +1,6 @@
 """Optimizer closed forms, schedules, progressive dims, end-to-end training."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,14 @@ from radiofield.dataio import (
     load_checkpoint,
     save_checkpoint,
 )
-from radiofield.field_model import GradientSet, init_field_model
+from radiofield.field_model import GradientSet, StaticTerms, init_field_model
 from radiofield.renderer import (
+    SampleTable,
     SceneGeometry,
+    SegmentTrace,
     all_directions,
     default_step,
+    density_pass,
     direction_from_angles,
     render_spectra,
     sample_rays,
@@ -281,7 +285,14 @@ class TestTrainLoop:
 
     def test_nets_train_in_float32_and_grids_in_float64(self, tmp_path, monkeypatch):
         ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))
-        built = capture_stage_cache(monkeypatch)
+        encodings = set()  # (enc_x, enc_dir) dtypes of every training batch
+        backward = trainer._backward_batch
+
+        def spy_backward(model, trace, *args, **kwargs):
+            encodings.add((trace.static.enc_x.dtype, trace.static.enc_dir.dtype))
+            return backward(model, trace, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_backward_batch", spy_backward)
         dtypes = {}  # parameter name -> its (gradient, m, v) dtypes over all steps
         original = trainer.adam_step
 
@@ -299,7 +310,7 @@ class TestTrainLoop:
             want = np.float64 if name in trainer.GRID_PARAM_NAMES else np.float32
             assert p.dtype == want, name
             assert dtypes[name] == {(np.dtype(want),) * 3}, name
-        assert built[0].enc_x.dtype == built[0].emission_enc.dtype == np.float32
+        assert encodings == {(np.dtype(np.float32),) * 2}
 
     def test_checkpoint_of_trained_model_loads_float64_nets(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=4, res=(8, 4))
@@ -376,15 +387,47 @@ class TestTrainLoop:
         ds = small_dataset(tmp_path, n_tx=2, res=(8, 3))
         model = init_field_model(ds.geometry.bbox, (6, 7, 8), 4, 16, seed=5)
         step = default_step(ds.geometry.bbox, (12, 12, 12))
-        cache = _StageCache(ds.geometry, model, step, grad_radius=0.5)
+        cache = _StageCache(ds.geometry, model, step)
         model.density_grid = voxel_grid.upsample(model.density_grid, (9, 10, 12))
         model.feature_grid = voxel_grid.upsample(model.feature_grid, (9, 10, 12))
         cache.resupport(model)
-        fresh = _StageCache(ds.geometry, model, step, grad_radius=0.5)
+        fresh = _StageCache(ds.geometry, model, step)
         assert vars(cache).keys() == vars(fresh).keys()
         for name, value in vars(fresh).items():
             assert np.array_equal(getattr(cache, name), value), name
         assert cache.idx.max() >= 6 * 7 * 8  # the support indexes the new grid
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_stage_table_batch_equals_fresh_table(self, tmp_path, tau):
+        # a batch gathered from the stage table, encoded per call, equals the
+        # same rays sampled, supported and encoded afresh, bit for bit
+        ds = small_dataset(tmp_path, n_tx=2, res=(8, 3))
+        rng = np.random.default_rng(4)
+        model = init_field_model(ds.geometry.bbox, (6, 6, 6), 4, 16, seed=2)
+        model.density_grid.values[:] = rng.normal(
+            -8.0, 4.0, size=model.density_grid.values.shape)
+        model.feature_grid.values[:] = rng.normal(size=model.feature_grid.values.shape)
+        model.deform_net = model.deform_net.astype(np.float32)
+        model.radiance_net = model.radiance_net.astype(np.float32)
+        step = default_step(ds.geometry.bbox, (12, 12, 12))
+        cache = _StageCache(ds.geometry, model, step=step)
+        cells = np.array([5, 17, 5, 0, 23, 17, 9])
+        fresh = SampleTable(ds.geometry, model, step,
+                            all_directions(ds.geometry.spectrum_res)[cells])
+        got = density_pass(model, cache, cells, tau, True)
+        want = density_pass(model, fresh, np.arange(len(cells)), tau, True)
+        if tau > 0:
+            assert 0 < got.kept.sum() < len(got.kept)  # some samples skipped
+        assert np.array_equal(cache.positions[got.rows_kept],
+                              fresh.positions[want.rows_kept])
+        for f in dataclasses.fields(SegmentTrace):
+            if f.name not in ("rows_kept", "static", "signal_kept", "sig_cache"):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert got.signal_kept is want.signal_kept is None
+        for f in dataclasses.fields(StaticTerms):
+            a, b = getattr(got.static, f.name), getattr(want.static, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        assert got.static.enc_x.dtype == np.float32
 
     def test_train_builds_one_table(self, tmp_path, monkeypatch):
         ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
@@ -712,29 +755,13 @@ class TestNearReceiverGradientScale:
         assert near_receiver_radius(geo, (32, 64, 32)) == pytest.approx(
             3.5 / 63 * np.sqrt(324 / (2 * np.pi)), rel=1e-12)
 
-    def test_scale_is_one_beyond_radius_and_quadratic_inside(self, tmp_path):
-        ds = small_dataset(tmp_path, n_tx=2, res=(8, 4))
-        model = init_field_model(ds.geometry.bbox, (8, 8, 8), 2, 8, seed=0)
-        r0 = 0.5
-        cache = _StageCache(ds.geometry, model, step=0.05, grad_radius=r0)
-        positions, _, _ = sample_rays(ds.geometry,
-                                      all_directions(ds.geometry.spectrum_res), 0.05)
-        r = np.linalg.norm(positions - ds.geometry.rx_position, axis=1)
-        far = r >= r0
-        assert far.any() and (~far).any()
-        assert np.all(cache.grad_scale[far] == 1.0)
-        np.testing.assert_allclose(cache.grad_scale[~far], (r[~far] / r0) ** 2,
-                                   rtol=1e-12)
-        assert _StageCache(ds.geometry, model, step=0.05).grad_scale is None
-
     def test_backward_batch_unscaled_unless_asked(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=3, res=(8, 4))
         rng = np.random.default_rng(2)
         model = init_field_model(ds.geometry.bbox, (6, 6, 6), 2, 8, seed=1)
         model.density_grid.values[:] = rng.normal(size=model.density_grid.values.shape)
         model.feature_grid.values[:] = rng.normal(size=model.feature_grid.values.shape)
-        cache = _StageCache(ds.geometry, model, step=0.1, grad_radius=2.0)
-        assert cache.grad_scale.min() < 0.01  # most samples would be scaled
+        cache = _StageCache(ds.geometry, model, step=0.1)
         cells = np.array([1, 7, 20, 31])
         txs = ds.tx_positions()[[0, 1, 2, 0]]
         _, _, trace = _forward_batch(model, cache, txs, cells, tau=0.0,
