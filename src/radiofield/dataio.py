@@ -98,10 +98,12 @@ class Blob:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
-        if self.radius <= 0:
-            raise ValueError("blob radius must be positive")
-        if self.peak_density < 0:
-            raise ValueError("peak density must be nonnegative")
+        # every comparison below is false for NaN, so NaN fails its check
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"blob radius must be finite and positive, got {self.radius}")
+        if not 0.0 <= self.peak_density < np.inf:
+            raise ValueError(f"blob peak_density must be finite and nonnegative, "
+                             f"got {self.peak_density}")
         if not (0.0 < self.emission < 1.0):
             raise ValueError("emission must lie in (0, 1)")
 
@@ -118,8 +120,9 @@ class SyntheticScene:
 
     def __post_init__(self):
         self.rx_position = np.asarray(self.rx_position, dtype=np.float64)
-        if self.tx_modulation < 0:
-            raise ValueError("tx_modulation must be nonnegative")
+        if not 0.0 <= self.tx_modulation < np.inf:  # NaN too
+            raise ValueError(f"tx_modulation must be finite and nonnegative, "
+                             f"got {self.tx_modulation}")
         for b in self.blobs:
             if not self.bbox.contains(b.center):
                 raise ValueError("blob centers must lie inside the bbox")

@@ -55,8 +55,11 @@ def positional_encode(p: np.ndarray, levels: int) -> np.ndarray:
     # float64
     freqs = (np.pi * (2.0 ** np.arange(levels))).astype(arr.dtype)
     ang = arr[:, :, None] * freqs  # (N, D, L)
-    out = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(
-        arr.shape[0], 2 * levels * arr.shape[1])
+    # sin and cos written into their slots of one buffer, not stacked
+    out = np.empty(ang.shape + (2,), dtype=ang.dtype)
+    np.sin(ang, out=out[..., 0])
+    np.cos(ang, out=out[..., 1])
+    out = out.reshape(arr.shape[0], 2 * levels * arr.shape[1])
     return out[0] if single else out
 
 
@@ -150,9 +153,13 @@ def mlp_backward(mlp: Mlp, hidden, d_out: np.ndarray, grads: GradientSet,
         grad_w, grad_b = grads[f"{tag}.w{i}"], grads[f"{tag}.b{i}"]
         grad_w += delta.T @ a
         grad_b += delta.sum(axis=0)
+        w = mlp.weights[i]
+        # a one-column delta (a single-output layer) times w is an outer
+        # product: broadcast, the same values as the k=1 matmul and faster
+        delta = delta * w if w.shape[0] == 1 else delta @ w
         # a is the output of the ReLU below, so a > 0 is that ReLU's mask (a
         # boolean mask multiplies as 1.0 / 0.0)
-        delta = (delta @ mlp.weights[i]) * (a > 0.0)
+        delta *= a > 0.0
     grad_w0, grad_b0 = grads[f"{tag}.w0"], grads[f"{tag}.b0"]
     col = 0
     for x in inputs:
@@ -286,7 +293,7 @@ class GradientSet:
 
     def grid_index(self, idx: np.ndarray) -> np.ndarray:
         """The grid buffer rows of the node indices idx."""
-        return self.node_row[idx]
+        return np.take(self.node_row, idx)
 
     def zero(self) -> None:
         """Reset every buffer to zero in place, for reuse while the parameter
@@ -391,14 +398,15 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
         # one row per ray even for a shared transmitter: the product is then
         # the per-ray transmitters' product, bit for bit
         enc_tx = np.ascontiguousarray(np.broadcast_to(enc_tx, (n_rays, width)))
-        pre = (enc_tx @ model.deform_net.weights[0][:, :width].T)[ray_of]
+        pre = np.take(enc_tx @ model.deform_net.weights[0][:, :width].T, ray_of,
+                      axis=0)
         pre += static.x_pre
         dfeat, de_hidden = mlp_forward(model.deform_net, pre, want_cache=want_cache)
         feat_sum = static.feat + dfeat
     else:
         feat_sum = static.feat
     pre = feat_sum @ model.radiance_net.weights[0][:, :model.feature_dim].T
-    pre += static.dir_pre[ray_of]
+    pre += np.take(static.dir_pre, ray_of, axis=0)
     logit, rad_hidden = mlp_forward(model.radiance_net, pre, want_cache=want_cache)
     s = sigmoid(logit)[:, 0]
     if not want_cache:
@@ -422,11 +430,12 @@ def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: Gradi
     de_cache, rad_cache, s, static = cache
     d_logit = (d_signal * (s * (1.0 - s))).astype(s.dtype, copy=False)
     d_feat = mlp_backward(model.radiance_net, rad_cache[1:], d_logit[:, None], grads,
-                          "radiance", (rad_cache[0], static.enc_dir[static.ray_of])
+                          "radiance",
+                          (rad_cache[0], np.take(static.enc_dir, static.ray_of, axis=0))
                           ) @ model.radiance_net.weights[0][:, :model.feature_dim]
     if model.deform_enabled:
         mlp_backward(model.deform_net, de_cache[1:], d_feat, grads, "deform",
-                     (de_cache[0][static.ray_of], static.enc_x))
+                     (np.take(de_cache[0], static.ray_of, axis=0), static.enc_x))
     return d_feat
 
 

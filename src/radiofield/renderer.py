@@ -301,25 +301,28 @@ def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
     n_rays, counts = len(cells), table.counts[cells]
     starts = table.offsets[cells] - (np.cumsum(counts) - counts)
     rows = np.repeat(starts, counts) + np.arange(counts.sum())
-    idx = table.idx[rows]
-    weights = table.weights[rows]
-    raw = np.einsum("nk,nk->n", model.density_grid.values[:, 0][idx], weights)
+    # row gathers by take and compress: the same rows as fancy and boolean
+    # indexing, and faster
+    idx = np.take(table.idx, rows, axis=0)
+    weights = np.take(table.weights, rows, axis=0)
+    raw = voxel_grid.blend(model.density_grid.values, idx, weights)[:, 0]
     sigma = softplus(raw + model.density_bias)
     kept = sigma >= tau
-    rows_kept = rows[kept]
-    rk = np.repeat(np.arange(n_rays), counts)[kept]
-    kept_idx, kept_weights = idx[kept], weights[kept]
-    spacings_kept = table.spacings[rows_kept]
-    optical = sigma[kept] * spacings_kept
+    rows_kept = np.compress(kept, rows)
+    rk = np.compress(kept, np.repeat(np.arange(n_rays), counts))
+    kept_idx = np.compress(kept, idx, axis=0)
+    kept_weights = np.compress(kept, weights, axis=0)
+    spacings_kept = np.take(table.spacings, rows_kept)
+    optical = np.compress(kept, sigma) * spacings_kept
     t_out, excl, w = segment_weights(optical, rk, n_rays)
 
-    feat = np.einsum("nkf,nk->nf", model.feature_grid.values[kept_idx], kept_weights)
-    static = static_terms(model, feat, rk,
-                          model.encode_positions(table.positions[rows_kept]),
-                          table.emission_enc[cells], keep_encodings)
+    feat = voxel_grid.blend(model.feature_grid.values, kept_idx, kept_weights)
+    enc_x = model.encode_positions(np.take(table.positions, rows_kept, axis=0))
+    static = static_terms(model, feat, rk, enc_x,
+                          np.take(table.emission_enc, cells, axis=0), keep_encodings)
     return SegmentTrace(kept=kept, sigma=sigma, rows_kept=rows_kept,
                         kept_idx=kept_idx, kept_weights=kept_weights,
-                        raw_kept=raw[kept], ray_of_kept=rk,
+                        raw_kept=np.compress(kept, raw), ray_of_kept=rk,
                         spacings_kept=spacings_kept, optical=optical,
                         excl_prefix=excl, weights=w, t_final=t_out, static=static)
 
@@ -384,10 +387,9 @@ def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
     rows = grads.grid_index(trace.kept_idx)
     voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_raw[:, None],
                                      grads["density_grid"])
+    # d_feat is in the nets' dtype; the scatter sums the grid gradient in float64
     d_feat = field_model.signal_backward(model, trace.sig_cache, d_signal, grads)
-    # d_feat is in the nets' dtype; the grid gradient is summed in float64
-    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights,
-                                     d_feat.astype(np.float64, copy=False),
+    voxel_grid.scatter_grid_gradient(rows, trace.kept_weights, d_feat,
                                      grads["feature_grid"])
 
 

@@ -21,6 +21,10 @@ class OutOfBoundsError(ValueError):
 # last-ulp noise of ray-marching arithmetic without hiding real bugs.
 _BOUNDS_RTOL = 1e-9
 
+# Bytes of one `blend` block's (rows, 8, C) float64 corner gather: it stays
+# within a typical L2 cache, like the trainer's Adam blocks.
+_BLEND_BLOCK_BYTES = 1 << 19
+
 
 @dataclass
 class Aabb:
@@ -34,6 +38,10 @@ class Aabb:
         self.max_corner = np.asarray(self.max_corner, dtype=np.float64)
         if self.min_corner.shape != (3,) or self.max_corner.shape != (3,):
             raise ValueError("Aabb corners must be 3-vectors")
+        if not (np.all(np.isfinite(self.min_corner))
+                and np.all(np.isfinite(self.max_corner))):
+            raise ValueError(f"Aabb min_corner and max_corner must be finite, got "
+                             f"{self.min_corner} .. {self.max_corner}")
         if not np.all(self.max_corner > self.min_corner):
             raise ValueError(
                 f"Aabb requires max_corner > min_corner, got "
@@ -157,8 +165,27 @@ def interpolate(grid: VoxelGrid, points: np.ndarray) -> np.ndarray:
     """
     single = np.asarray(points).ndim == 1
     idx, w = interp_support(grid.dims, grid.bbox, points)
-    out = np.einsum("nkc,nk->nc", grid.values[idx], w)
+    out = blend(grid.values, idx, w)
     return out[0] if single else out
+
+
+def blend(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Trilinear blend of grid rows: out[n] = sum over k of w[n, k] *
+    values[idx[n, k]], for values (n_nodes, C) and a support idx, w (N, 8)
+    (`interp_support`); returns (N, C).
+
+    The rows are walked in blocks whose (rows, 8, C) corner gather stays
+    within _BLEND_BLOCK_BYTES, so no (N, 8, C) copy is made; each block is the
+    dense einsum over its rows, so the result is bit-identical to
+    np.einsum("nkc,nk->nc", values[idx], w).
+    """
+    channels = values.shape[1]
+    out = np.empty((len(idx), channels))
+    rows = max(1, _BLEND_BLOCK_BYTES // (8 * channels * values.itemsize))
+    for start in range(0, len(idx), rows):
+        s = slice(start, start + rows)
+        np.einsum("nkc,nk->nc", np.take(values, idx[s], axis=0), w[s], out=out[s])
+    return out
 
 
 def interpolate_backward(grid: VoxelGrid, points: np.ndarray, upstream: np.ndarray,
@@ -192,13 +219,17 @@ def scatter_grid_gradient(idx: np.ndarray, w: np.ndarray, upstream: np.ndarray,
     order, into a contiguous row of one (C, n_nodes) buffer, which is added to
     grad_accum in a single pass. Per element this is the same sum and the same
     final addition as a per-channel bincount added column by column.
+    upstream is (N, C) in any float dtype; the contributions are formed and
+    summed in float64.
     """
     n_nodes, channels = grad_accum.shape
     flat_idx = idx.ravel()
+    # each channel's upstream read as one contiguous row, not a strided column
+    up_rows = np.ascontiguousarray(upstream.T, dtype=np.float64)
     sums = np.empty((channels, n_nodes))
     contrib = np.empty(w.shape)
     for ch in range(channels):
-        np.multiply(w, upstream[:, ch, None], out=contrib)
+        np.multiply(w, up_rows[ch, :, None], out=contrib)
         sums[ch] = np.bincount(flat_idx, weights=contrib.ravel(), minlength=n_nodes)
     grad_accum += sums.T
 

@@ -5,9 +5,12 @@ per moment and one for the update; given rows, it updates a gathered copy of
 those rows of each parameter and writes the copy back.
 `reference_scatter_grid_gradient` bincounts one channel at a time and adds
 each count into its column of the gradient.
-The production `trainer.adam_step` (blocked, scratch buffers) and
-`voxel_grid.scatter_grid_gradient` (row-contiguous buffer) must match them bit
-for bit; tests compare against them and can substitute them into `train()`.
+`reference_blend` gathers every corner row into one (N, 8, C) array and
+contracts it with the weights in a single einsum.
+The production `trainer.adam_step` (blocked, scratch buffers),
+`voxel_grid.scatter_grid_gradient` (row-contiguous buffer) and
+`voxel_grid.blend` (row blocks) must match them bit for bit; tests compare
+against them and can substitute them into `train()`.
 """
 
 from __future__ import annotations
@@ -54,3 +57,7 @@ def reference_scatter_grid_gradient(idx: np.ndarray, w: np.ndarray,
     for ch in range(grad_accum.shape[1]):
         grad_accum[:, ch] += np.bincount(flat_idx, weights=contrib[:, :, ch].ravel(),
                                          minlength=n_nodes)
+
+
+def reference_blend(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("nkc,nk->nc", values[idx], w)

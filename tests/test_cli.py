@@ -136,11 +136,12 @@ SCENE = {"bbox": {"min_corner": [0, 0, 0], "max_corner": [2, 2, 2]},
                     "emission": 0.8}]}
 
 
-def scene_bytes(drop=None, drop_blob=None) -> bytes:
+def scene_bytes(drop=None, drop_blob=None, blob_field=None) -> bytes:
     doc = json.loads(json.dumps(SCENE))
     doc.pop(drop, None)
     for blob in doc["blobs"]:
         blob.pop(drop_blob, None)
+        blob.update(blob_field or {})
     return json.dumps(doc).encode()
 
 
@@ -169,6 +170,18 @@ class TestMalformedInput:
                                  "--out", tmp_path / "d")
         assert res.returncode == 4, res.stderr
         assert "Traceback" not in res.stderr and "format error" in res.stderr
+
+    @pytest.mark.parametrize("field, value", [("radius", "NaN"), ("radius", "Infinity"),
+                                              ("peak_density", "Infinity")])
+    def test_non_finite_scene_file_value_is_format_error(self, tmp_path, field, value):
+        scene = tmp_path / "scene.json"
+        scene.write_bytes(scene_bytes(blob_field={field: float(value)}))
+        assert value.encode() in scene.read_bytes()
+        res = run_cli_subprocess("synth", "--scene", scene, "--n-tx", 1, "--res", 4, 2,
+                                 "--fine-step", 0.1, "--out", tmp_path / "d")
+        assert res.returncode == 4, res.stderr
+        assert "Traceback" not in res.stderr and field in res.stderr
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("doc,args", [
         ({"paths": {"out": 5}}, ["synth", "--n-tx", "1"]),
@@ -213,6 +226,8 @@ class TestMalformedInput:
         ("synth", ["--rssi-noise-db", "nan"], "rssi_noise_db"),
         ("synth", ["--rssi-noise-db", "-1"], "rssi_noise_db"),
         ("synth", ["--fine-step", "nan"], "fine_step"),
+        ("synth", ["--tx-modulation", "nan"], "tx_modulation"),
+        ("synth", ["--tx-modulation", "inf"], "tx_modulation"),
     ], ids=["log_interval_0", "log_interval_negative", "lr_decay_negative",
             "final_dims_zero", "upsample_iter_negative", "train_tau_negative",
             "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
@@ -220,7 +235,7 @@ class TestMalformedInput:
             "bg_weight_nan", "bg_weight_inf", "bg_weight_negative", "seed_negative",
             "stages_negative",
             "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
-            "fine_step_nan"])
+            "fine_step_nan", "tx_modulation_nan", "tx_modulation_inf"])
     def test_bad_value_is_config_error(self, pipeline, tmp_path, capsys, command,
                                        args, field):
         # in process: an exception escaping main() fails the test, as it would

@@ -18,6 +18,7 @@ from radiofield.dataio import (
     geometry_from_checkpoint,
     load_checkpoint,
     load_dataset,
+    load_scene_file,
     oracle_composite,
     oracle_density_emission,
     oracle_render,
@@ -265,6 +266,54 @@ class TestGenerateDataset:
             manifest.write_text(json.dumps(doc))
             with pytest.raises(FormatError, match="missing or malformed"):
                 load_dataset(tmp_path / "d")
+
+
+class TestSceneValidation:
+    """Non-finite or out-of-range scene parameters are rejected on
+    construction, naming the field, and a scene file carrying one is a
+    FormatError."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("radius", float("nan")), ("radius", float("inf")), ("radius", 0.0),
+        ("peak_density", float("nan")), ("peak_density", float("inf")),
+        ("peak_density", -1.0)])
+    def test_bad_blob_parameter_rejected(self, field, value):
+        args = dict(center=[1.0, 1.0, 1.2], radius=0.25, peak_density=5.0,
+                    emission=0.8)
+        args[field] = value
+        with pytest.raises(ValueError, match=field):
+            Blob(**args)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_bad_tx_modulation_rejected(self, value):
+        with pytest.raises(ValueError, match="tx_modulation"):
+            demo_scene(tx_modulation=value)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["blobs"][0].update(radius=float("nan")), "radius"),
+        (lambda doc: doc["blobs"][0].update(radius=float("inf")), "radius"),
+        (lambda doc: doc["blobs"][0].update(peak_density=float("inf")), "peak_density"),
+        (lambda doc: doc.update(tx_modulation=float("nan")), "tx_modulation"),
+        (lambda doc: doc["bbox"].update(max_corner=[2.0, 2.0, float("inf")]),
+         "max_corner")],
+        ids=["radius_nan", "radius_inf", "peak_density_inf", "tx_modulation_nan",
+             "bbox_inf"])
+    def test_non_finite_scene_file_value_is_format_error(self, tmp_path, edit, field):
+        doc = {"bbox": {"min_corner": [0, 0, 0], "max_corner": [2, 2, 2]},
+               "rx_position": [1.0, 1.0, 0.5],
+               "blobs": [{"center": [1.0, 1.0, 1.3], "radius": 0.3,
+                          "peak_density": 6.0, "emission": 0.8}]}
+        load_scene_file(self._write(tmp_path, doc))
+        edit(doc)
+        with pytest.raises(FormatError, match=field):
+            load_scene_file(self._write(tmp_path, doc))
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        # json writes NaN and Infinity tokens, as a hand-written file may hold
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        return path
 
 
 class TestCheckpoint:

@@ -10,6 +10,8 @@ from radiofield.field_model import (
     GradientSet,
     Mlp,
     init_field_model,
+    mlp_backward,
+    mlp_forward,
     positional_encode,
     query_density,
     query_signal,
@@ -80,6 +82,22 @@ class TestPositionalEncoding:
         out = positional_encode(np.array([0.5, 0.0]), 2)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (257, 3)])
+    def test_equals_stacked_sin_cos_bitwise(self, dtype, shape):
+        # sin and cos are written into strided slots of one buffer; the values
+        # must be those of the contiguous calls, stacked
+        p = np.random.default_rng(4).uniform(-1.5, 1.5, size=shape).astype(dtype)
+        levels = 5
+        arr = np.atleast_2d(p)
+        ang = arr[:, :, None] * (np.pi * (2.0 ** np.arange(levels))).astype(dtype)
+        want = np.stack([np.sin(ang), np.cos(ang)], axis=-1).reshape(
+            arr.shape[0], 2 * levels * arr.shape[1])
+        want = want[0] if p.ndim == 1 else want
+        got = positional_encode(p, levels)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestModelEncodings:
@@ -303,6 +321,36 @@ class TestQuerySignal:
         for direction in ([0.0, 0.0, 1.1], [np.nan, 0.0, 1.0]):
             with pytest.raises(ValueError, match="unit vectors"):
                 query_signal(m, np.full(3, 0.5), np.zeros(3), np.array(direction))
+
+
+class TestMlpBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_output_equals_matmul_form_bitwise(self, dtype):
+        # the output layer's delta is one column; the reference takes it
+        # through the layer with the k=1 matmul
+        rng = np.random.default_rng(5)
+        n, width = 301, 16
+        net = Mlp(weights=[rng.normal(size=(width, 9)), rng.normal(size=(1, width))],
+                  biases=[rng.normal(size=width), rng.normal(size=1)]).astype(dtype)
+        x = rng.normal(size=(n, 9)).astype(dtype)
+        inputs = (x[:, :4], x[:, 4:])
+        _, hidden = mlp_forward(net, x @ net.weights[0].T + net.biases[0],
+                                want_cache=True)
+        assert 0 < np.count_nonzero(hidden[0]) < hidden[0].size
+        d_out = rng.normal(size=(n, 1)).astype(dtype)
+        grads = {f"t.{k}{i}": np.zeros_like(p) for i in range(2)
+                 for k, p in (("w", net.weights[i]), ("b", net.biases[i]))}
+        got = mlp_backward(net, hidden, d_out, grads, "t", inputs)
+
+        a = hidden[0]
+        want_delta = (d_out @ net.weights[1]) * (a > 0.0)
+        want = {"t.w1": d_out.T @ a, "t.b1": d_out.sum(axis=0),
+                "t.w0": np.concatenate([want_delta.T @ part for part in inputs], axis=1),
+                "t.b0": want_delta.sum(axis=0)}
+        for name, value in (("delta", want_delta), *want.items()):
+            have = got if name == "delta" else grads[name]
+            assert have.dtype == dtype, name
+            assert np.array_equal(have.view(np.uint8), value.view(np.uint8)), name
 
 
 class TestModelBackward:

@@ -1,12 +1,16 @@
 """Trilinear grid: interpolation exactness, adjoint correctness, upsampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from radiofield import voxel_grid
 from radiofield.voxel_grid import (
     Aabb,
     OutOfBoundsError,
     VoxelGrid,
+    blend,
     init_grid,
     interp_support,
     interpolate,
@@ -14,7 +18,7 @@ from radiofield.voxel_grid import (
     scatter_grid_gradient,
     upsample,
 )
-from grid_reference import reference_scatter_grid_gradient
+from grid_reference import reference_blend, reference_scatter_grid_gradient
 
 
 def unit_box():
@@ -92,6 +96,49 @@ class TestInterpolate:
             interpolate(g, np.array([[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]]))
 
 
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestBlend:
+    # 5 rows of 24 float64 channels per block
+    BUDGET = 5 * 8 * 24 * 8
+
+    @pytest.mark.parametrize("channels", [1, 8, 24])
+    @pytest.mark.parametrize("n_from_block", [lambda b: 0, lambda b: 1,
+                                              lambda b: b - 1, lambda b: b,
+                                              lambda b: b + 1, lambda b: 3 * b + 5],
+                             ids=["0", "1", "block-1", "block", "block+1",
+                                  "3block+5"])
+    def test_matches_dense_einsum_bitwise(self, monkeypatch, channels, n_from_block):
+        monkeypatch.setattr(voxel_grid, "_BLEND_BLOCK_BYTES", self.BUDGET)
+        block = self.BUDGET // (8 * channels * 8)
+        n = n_from_block(block)
+        rng = np.random.default_rng(n * 31 + channels)
+        dims = (5, 4, 6)
+        values = rng.normal(size=(120, channels)) * 10.0 ** rng.integers(
+            -6, 6, size=(120, 1))
+        values[::9] = -0.0
+        idx, w = interp_support(dims, unit_box(), random_points_inside(unit_box(), n, rng))
+        assert_same_bits(blend(values, idx, w), reference_blend(values, idx, w))
+
+    def test_transient_memory_is_one_block(self):
+        rng = np.random.default_rng(3)
+        n, channels = 20000, 24
+        values = rng.normal(size=(4000, channels))
+        idx = rng.integers(0, len(values), size=(n, 8))
+        w = rng.uniform(size=(n, 8))
+        tracemalloc.start()
+        try:
+            out = blend(values, idx, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense form would gather 8 * n * channels * 8 bytes (~31 MB)
+        assert peak - out.nbytes < 2 * voxel_grid._BLEND_BLOCK_BYTES
+
+
 class TestInterpolateBackward:
     def test_point_at_node_scatters_to_that_node_only(self):
         g = init_grid((3, 3, 3), 2, unit_box())
@@ -159,7 +206,8 @@ class TestInterpolateBackward:
 
 class TestScatterGridGradient:
     @pytest.mark.parametrize("channels", [1, 8, 24])
-    def test_matches_per_channel_reference_bitwise(self, channels):
+    @pytest.mark.parametrize("layout", ["contiguous", "column_slice", "float32"])
+    def test_matches_per_channel_reference_bitwise(self, channels, layout):
         rng = np.random.default_rng(channels)
         dims = (5, 4, 6)
         pts = random_points_inside(unit_box(), 300, rng)
@@ -168,6 +216,13 @@ class TestScatterGridGradient:
         upstream = rng.normal(size=(300, channels)) * 10.0 ** rng.integers(
             -6, 6, size=(300, 1))
         upstream[::7] = -0.0
+        if layout == "column_slice":
+            wide = rng.normal(size=(300, channels + 3))
+            wide[:, 2:2 + channels] = upstream
+            upstream = wide[:, 2:2 + channels]
+            assert not upstream.flags.c_contiguous
+        elif layout == "float32":
+            upstream = upstream.astype(np.float32)
         start = rng.normal(size=(120, channels))
         new, ref = start.copy(), start.copy()
         scatter_grid_gradient(idx, w, upstream, new)
@@ -245,3 +300,10 @@ class TestInitGrid:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             Aabb(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("corners", [(np.zeros(3), np.array([1.0, np.inf, 1.0])),
+                                         (np.full(3, -np.inf), np.ones(3))],
+                             ids=["max_inf", "min_minus_inf"])
+    def test_infinite_box_rejected(self, corners):
+        with pytest.raises(ValueError, match="must be finite"):
+            Aabb(*corners)
