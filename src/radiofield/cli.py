@@ -35,7 +35,7 @@ from .dataio import (
 )
 from .metrics import percentile_summary, rssi_error, ssim, write_cdf_csv, write_indexed_csv
 from .renderer import SceneGeometry, aggregate_rssi, render_spectra, render_spectrum
-from .trainer import NumericalError, TrainConfig, rssi_offset, train
+from .trainer import SKIP_TAU, NumericalError, TrainConfig, rssi_offset, train
 from .voxel_grid import Aabb
 
 
@@ -47,7 +47,12 @@ _UNSET = object()
 
 
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true/false/1/0/yes/no, got {text!r}")
 
 
 # dotted key -> its one declaration: the argparse kwargs of its flag plus
@@ -77,7 +82,7 @@ _SCHEMA = {
     "run.profile": dict(type=str, help="trainer profile: desk or paper",
                         alias="--profile", on=("train",), default="desk"),
     "run.tau": dict(type=float, help="empty-space skip threshold at inference",
-                    alias="--tau", on=("infer", "eval"), default=1e-4),
+                    alias="--tau", on=("infer", "eval"), default=SKIP_TAU),
     "run.tx": dict(type=float, nargs=3, help="transmitter position to infer",
                    alias="--tx", on=("infer",), required=True),
     "run.rssi": dict(action="store_true", help="also evaluate RSSI predictions",
@@ -250,6 +255,8 @@ def cmd_train(cfg: dict) -> int:
     train_ds = _subset(dataset, train_idx)
     config = _train_config(cfg)
     log_path = cfg.get("paths.log")
+    for path in filter(None, (cfg["paths.out"], log_path)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     log_fh = open(log_path, "w") if log_path else None
     t0 = time.perf_counter()
     try:
@@ -282,6 +289,7 @@ def cmd_infer(cfg: dict) -> int:
     model, meta = load_checkpoint(cfg["paths.checkpoint"])
     geometry = geometry_from_checkpoint(cfg["paths.checkpoint"], meta)
     tx = np.array(cfg["run.tx"], dtype=np.float64)
+    Path(cfg["paths.out"]).parent.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     spectrum = render_spectrum(model, geometry, tx, tau=float(cfg["run.tau"]))
     elapsed = time.perf_counter() - t0
@@ -298,14 +306,20 @@ def cmd_eval(cfg: dict) -> int:
     train_idx, test_idx = _split(cfg, dataset)
     if len(test_idx) == 0:
         raise ConfigError("train_fraction leaves no held-out records to evaluate")
+    # --rssi calibrates on the training records that carry a measurement,
+    # rendered in one call with the held-out records, and scores the held-out
+    # records that carry one; both sets are checked before any render or write
+    calibration_idx = []
+    if cfg.get("run.rssi"):
+        calibration_idx = [i for i in train_idx if dataset.records[i].rssi_dbm is not None]
+        if not calibration_idx:
+            raise ConfigError("--rssi requires training records with rssi_dbm")
+        if all(dataset.records[i].rssi_dbm is None for i in test_idx):
+            raise ConfigError("no held-out records carry rssi_dbm")
     out_dir = Path(cfg["paths.out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     targets = dataset.load_spectra()
-    # --rssi calibrates on the training records that carry a measurement;
-    # they are rendered in one call with the held-out records
-    calibration_idx = ([i for i in train_idx if dataset.records[i].rssi_dbm is not None]
-                       if cfg.get("run.rssi") else [])
     spectra = render_spectra(model, geometry,
                              dataset.tx_positions()[[*test_idx, *calibration_idx]],
                              tau=tau)
@@ -316,14 +330,10 @@ def cmd_eval(cfg: dict) -> int:
     summary = {"n_test": len(test_idx), "ssim": percentile_summary(ssims)}
 
     if cfg.get("run.rssi"):
-        if not calibration_idx:
-            raise ConfigError("--rssi requires training records with rssi_dbm")
         calibration = rssi_offset([dataset.records[i].rssi_dbm for i in calibration_idx],
                                   spectra[len(test_idx):])
         measured = [(i, predicted) for i, predicted in zip(test_idx, predictions)
                     if dataset.records[i].rssi_dbm is not None]
-        if not measured:
-            raise ConfigError("no held-out records carry rssi_dbm")
         errors, err_summary = rssi_error(
             [aggregate_rssi(predicted, calibration) for _, predicted in measured],
             [dataset.records[i].rssi_dbm for i, _ in measured])

@@ -118,6 +118,10 @@ NET_ACTIVATIONS = {"deform_hidden_activation": "relu",
                    "deform_output_activation": "identity",
                    "radiance_hidden_activation": "relu",
                    "radiance_output_activation": "sigmoid"}
+# the fixed encoding levels and raw-density offset; a checkpoint records its own
+ENC_POS_LEVELS = 5
+ENC_DIR_LEVELS = 4
+DENSITY_BIAS = -3.0
 
 
 def mlp_forward(mlp: Mlp, pre: np.ndarray, want_cache: bool = False):
@@ -177,9 +181,9 @@ class FieldModel:
     feature_grid: VoxelGrid
     deform_net: Mlp
     radiance_net: Mlp
-    enc_pos_levels: int
-    enc_dir_levels: int
-    density_bias: float = -3.0
+    enc_pos_levels: int = ENC_POS_LEVELS
+    enc_dir_levels: int = ENC_DIR_LEVELS
+    density_bias: float = DENSITY_BIAS
     deform_enabled: bool = True
 
     def __post_init__(self):
@@ -306,8 +310,9 @@ class GradientSet:
 
 
 def init_field_model(bbox: Aabb, dims, feature_dim: int, hidden_width: int,
-                     seed: int, density_bias: float = -3.0,
-                     enc_pos_levels: int = 5, enc_dir_levels: int = 4) -> FieldModel:
+                     seed: int, density_bias: float = DENSITY_BIAS,
+                     enc_pos_levels: int = ENC_POS_LEVELS,
+                     enc_dir_levels: int = ENC_DIR_LEVELS) -> FieldModel:
     """Seeded construction: zero grids, Glorot MLPs, fixed draw order."""
     rng = np.random.default_rng(seed)
     pos_w = encoding_width(enc_pos_levels)

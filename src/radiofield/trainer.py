@@ -46,6 +46,10 @@ class NumericalError(RuntimeError):
     """Training produced a non-finite quantity."""
 
 
+# training's empty-space skip threshold, and inference's and calibration's default
+SKIP_TAU = 1e-4
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; the defaults are the desk-scale profile.
@@ -64,14 +68,9 @@ class TrainConfig:
     total_iters: int = 5000
     batch_rays: int = 256
     lr_grid: float = 0.04
-    lr_mlp: float = 2e-3
-    lr_decay_target_fraction: float = 0.1
-    tau: float = 1e-4
+    tau: float = SKIP_TAU
     bg_weight: float = 1e-4
     seed: int = 0
-    density_bias: float = -3.0
-    enc_pos_levels: int = 5
-    enc_dir_levels: int = 4
     deform_enabled: bool = True
     log_interval: int = 100
 
@@ -88,15 +87,9 @@ class TrainConfig:
                 ("total_iters", self.total_iters >= 0, "nonnegative"),
                 ("batch_rays", self.batch_rays >= 1, "at least 1"),
                 ("lr_grid", 0 <= self.lr_grid < math.inf, "finite and nonnegative"),
-                ("lr_mlp", 0 <= self.lr_mlp < math.inf, "finite and nonnegative"),
-                ("lr_decay_target_fraction",
-                 0 < self.lr_decay_target_fraction < math.inf, "finite and positive"),
                 ("tau", self.tau >= 0, "nonnegative"),
                 ("bg_weight", 0 <= self.bg_weight < math.inf, "finite and nonnegative"),
                 ("seed", self.seed >= 0, "nonnegative"),
-                ("density_bias", math.isfinite(self.density_bias), "finite"),
-                ("enc_pos_levels", self.enc_pos_levels >= 1, "at least 1"),
-                ("enc_dir_levels", self.enc_dir_levels >= 1, "at least 1"),
                 ("log_interval", self.log_interval >= 1, "at least 1")):
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
@@ -138,6 +131,9 @@ class TrainConfig:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the nets' learning rate; both rates decay to this fraction of theirs over a run
+LR_MLP = 2e-3
+LR_DECAY_TARGET_FRACTION = 0.1
 
 
 @dataclass
@@ -229,14 +225,13 @@ def adam_step(params: dict, grads, state: AdamState, lr: float,
     return state
 
 
-def lr_at(iteration: int, lr0: float, total_iters: int,
-          target_fraction: float = 0.1) -> float:
-    """Exponential decay from lr0 to target_fraction * lr0 over the run."""
+def lr_at(iteration: int, lr0: float, total_iters: int) -> float:
+    """Exponential decay from lr0 to LR_DECAY_TARGET_FRACTION * lr0 over the run."""
     if not 0 <= iteration <= total_iters:
         raise ValueError("iteration outside schedule")
     if total_iters == 0:
         return lr0
-    return lr0 * target_fraction ** (iteration / total_iters)
+    return lr0 * LR_DECAY_TARGET_FRACTION ** (iteration / total_iters)
 
 
 def progressive_dims(final_dims, stage: int, m_stages: int) -> tuple:
@@ -365,9 +360,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     stage = 0
     model = init_field_model(
         geometry.bbox, progressive_dims(config.final_dims, 0, config.stages),
-        config.feature_dim, config.mlp_width, seed=config.seed,
-        density_bias=config.density_bias, enc_pos_levels=config.enc_pos_levels,
-        enc_dir_levels=config.enc_dir_levels)
+        config.feature_dim, config.mlp_width, seed=config.seed)
     model.deform_enabled = config.deform_enabled
     model.deform_net = model.deform_net.astype(np.float32)
     model.radiance_net = model.radiance_net.astype(np.float32)
@@ -415,10 +408,8 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
         grads.zero()
         _backward_batch(model, trace, d_r, config.bg_weight * d_t, grads,
                         sample_scale=grad_scale[trace.rows_kept])
-        lr_g = lr_at(it, config.lr_grid, config.total_iters,
-                     config.lr_decay_target_fraction)
-        lr_m = lr_at(it, config.lr_mlp, config.total_iters,
-                     config.lr_decay_target_fraction)
+        lr_g = lr_at(it, config.lr_grid, config.total_iters)
+        lr_m = lr_at(it, LR_MLP, config.total_iters)
         adam_step(grid_params, grads, adam_grid, lr_g, rows=cache.grid_rows)
         adam_step(mlp_params, grads, adam_mlp, lr_m)
 
@@ -433,7 +424,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
 
 
 def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
-                         tau: float = 1e-4) -> float:
+                         tau: float = SKIP_TAU) -> float:
     """Least-squares constant offset between measured RSSI and the model's
     10*log10(total predicted power), over records carrying a measurement;
     their spectra are rendered together (`render_spectra`)."""

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -123,6 +124,17 @@ class TestConfigFile:
         assert code == 2
         assert "totle_iters" in capsys.readouterr().err
 
+    # fixed constants of the trainer and the model, not configuration
+    @pytest.mark.parametrize("key,value", [
+        ("lr_mlp", 0.001), ("lr_decay_target_fraction", 0.5), ("density_bias", 0.0),
+        ("enc_pos_levels", 3), ("enc_dir_levels", 2)])
+    def test_fixed_constant_keys_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trainer": {key: value}}))
+        code = run_cli("train", "--config", cfg, "--data", "x", "--out", "y")
+        assert code == 2
+        assert f"unknown config keys: trainer.{key}" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
@@ -201,8 +213,6 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command,args,field", [
         ("train", ["--trainer.log_interval", "0"], "log_interval"),
         ("train", ["--trainer.log_interval", "-2"], "log_interval"),
-        ("train", ["--trainer.lr_decay_target_fraction", "-0.1"],
-         "lr_decay_target_fraction"),
         ("train", ["--trainer.final_dims", "3", "3", "0", "--trainer.stages", "1",
                    "--trainer.upsample_iters", "20"], "final_dims"),
         ("train", ["--trainer.stages", "3", "--trainer.upsample_iters", "-3", "1", "2"],
@@ -211,8 +221,6 @@ class TestMalformedInput:
         ("train", ["--trainer.tau", "nan"], "tau"),
         ("train", ["--trainer.lr_grid", "-0.5"], "lr_grid"),
         ("train", ["--trainer.lr_grid", "inf"], "lr_grid"),
-        ("train", ["--trainer.lr_mlp", "nan"], "lr_mlp"),
-        ("train", ["--trainer.density_bias", "nan"], "density_bias"),
         ("train", ["--trainer.total_iters", "-5"], "total_iters"),
         ("train", ["--trainer.feature_dim", "0"], "feature_dim"),
         ("train", ["--trainer.mlp_width", "0"], "mlp_width"),
@@ -228,10 +236,10 @@ class TestMalformedInput:
         ("synth", ["--fine-step", "nan"], "fine_step"),
         ("synth", ["--tx-modulation", "nan"], "tx_modulation"),
         ("synth", ["--tx-modulation", "inf"], "tx_modulation"),
-    ], ids=["log_interval_0", "log_interval_negative", "lr_decay_negative",
+    ], ids=["log_interval_0", "log_interval_negative",
             "final_dims_zero", "upsample_iter_negative", "train_tau_negative",
-            "train_tau_nan", "lr_grid_negative", "lr_grid_inf", "lr_mlp_nan",
-            "density_bias_nan", "total_iters_negative", "feature_dim_0", "mlp_width_0",
+            "train_tau_nan", "lr_grid_negative", "lr_grid_inf",
+            "total_iters_negative", "feature_dim_0", "mlp_width_0",
             "bg_weight_nan", "bg_weight_inf", "bg_weight_negative", "seed_negative",
             "stages_negative",
             "infer_tau_nan", "eval_tau_nan", "rssi_noise_nan", "rssi_noise_negative",
@@ -247,6 +255,22 @@ class TestMalformedInput:
                 "synth": ["--n-tx", 1, "--res", 4, 2, "--fine-step", 0.1]}[command]
         code = run_cli(command, *base, *args, "--out", tmp_path / "out")
         assert code == 2 and field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["ture", "nope", ""])
+    def test_bool_flag_typo_is_usage_error(self, tmp_path, word):
+        # argparse ends the command, so in a subprocess
+        res = run_cli_subprocess("train", "--data", tmp_path / "d",
+                                 "--out", tmp_path / "m.ckpt",
+                                 "--trainer.deform_enabled", word)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "--trainer.deform_enabled" in res.stderr and repr(word) in res.stderr
+
+    @pytest.mark.parametrize("word,want", [
+        ("1", True), ("true", True), ("True", True), ("YES", True),
+        ("0", False), ("false", False), ("FALSE", False), ("No", False)])
+    def test_bool_flag_words(self, word, want):
+        assert cli._parse_bool(word) is want
 
     @pytest.mark.parametrize("args", [
         ["--trainer.batch_rays", "100000000000"],
@@ -278,12 +302,9 @@ _TRAINER_FLAGS = {  # field -> (parser type, nargs)
     "final_dims": ("int", 3), "feature_dim": ("int", None), "mlp_width": ("int", None),
     "stages": ("int", None), "upsample_iters": ("int", "*"),
     "total_iters": ("int", None), "batch_rays": ("int", None),
-    "lr_grid": ("float", None), "lr_mlp": ("float", None),
-    "lr_decay_target_fraction": ("float", None), "tau": ("float", None),
+    "lr_grid": ("float", None), "tau": ("float", None),
     "bg_weight": ("float", None), "seed": ("int", None),
-    "density_bias": ("float", None), "enc_pos_levels": ("int", None),
-    "enc_dir_levels": ("int", None), "deform_enabled": ("_parse_bool", None),
-    "log_interval": ("int", None)}
+    "deform_enabled": ("_parse_bool", None), "log_interval": ("int", None)}
 
 _FLAGS = {  # dotted key -> (flags, parser type, nargs, help)
     "scene.name": (("--scene.name", "--scene"), "str", None,
@@ -402,7 +423,7 @@ class TestTrainInferEval:
 
     def test_infer_writes_spectrum_and_reports_time(self, pipeline):
         tmp, _, ckpt, _ = pipeline
-        out = tmp / "spec.vxrf"
+        out = tmp / "new" / "dir" / "spec.vxrf"  # infer makes the directories
         res = run_cli_subprocess("infer", "--checkpoint", ckpt,
                                  "--tx", 2.0, 2.0, 1.0, "--out", out)
         assert res.returncode == 0
@@ -428,6 +449,31 @@ class TestTrainInferEval:
             lines = (out / name).read_text().splitlines()
             assert lines[0] == header
             assert [int(line.split(",")[0]) for line in lines[1:]] == test_idx.tolist()
+
+    @pytest.mark.parametrize("side,message", [
+        ("train", "--rssi requires training records with rssi_dbm"),
+        ("held-out", "no held-out records carry rssi_dbm")], ids=["train", "held-out"])
+    def test_eval_rssi_without_measurements_renders_and_writes_nothing(
+            self, pipeline, tmp_path, monkeypatch, capsys, side, message):
+        _, data, ckpt, _ = pipeline
+        stripped = tmp_path / "data"
+        shutil.copytree(data, stripped)
+        manifest = stripped / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        train_idx, test_idx = split_indices(len(doc["records"]), 0, 0.8)
+        for i in train_idx if side == "train" else test_idx:
+            del doc["records"][i]["rssi_dbm"]
+        manifest.write_text(json.dumps(doc))
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered before the --rssi checks")
+
+        monkeypatch.setattr(cli, "render_spectra", no_render)
+        out = tmp_path / "metrics"
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", stripped,
+                       "--split-seed", 0, "--out", out, "--rssi") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_builds_at_most_two_sample_tables(self, pipeline, tmp_path,
                                                    monkeypatch):

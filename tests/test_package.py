@@ -31,12 +31,28 @@ def test_readme_python_imports_are_exported():
     assert [name for name in imported if name not in radiofield.__all__] == []
 
 
-def test_readme_command_lines_parse():
+def _readme_commands() -> list:
+    """The argv of every `radiofield` line of the README's command-line block."""
     block = _readme_block("Command line", "bash")
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("radiofield ")]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("radiofield ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
     assert {argv[0] for argv in commands} == {"synth", "train", "infer", "eval"}
     parser = cli._build_parser()
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # in order, from an empty directory, each at a tiny size: the commands
+    # make the directories they write into
+    tiny = {"synth": ["--n-tx", "6", "--fine-step", "0.05"],
+            "train": ["--trainer.total_iters", "3", "--trainer.stages", "0",
+                      "--trainer.final_dims", "8", "8", "8"]}
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        assert cli.main(argv + tiny.get(argv[0], [])) == 0, argv

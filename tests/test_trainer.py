@@ -273,8 +273,7 @@ class TestTrainLoop:
         result = train(ds, cfg)
         from radiofield.field_model import init_field_model
         fresh = init_field_model(ds.geometry.bbox, cfg.final_dims, cfg.feature_dim,
-                                 cfg.mlp_width, seed=cfg.seed,
-                                 density_bias=cfg.density_bias)
+                                 cfg.mlp_width, seed=cfg.seed)
         # train() runs the nets in float32: they are the cast initial nets
         fresh.deform_net = fresh.deform_net.astype(np.float32)
         fresh.radiance_net = fresh.radiance_net.astype(np.float32)
@@ -352,6 +351,13 @@ class TestTrainLoop:
         assert last < 0.5 * first
         assert len(lines) == len(result.history)
         assert all(len(line.split(",")) == 6 for line in lines)
+        # both rates decay to a tenth over the run; the nets' starts at 2e-3
+        cfg = smoke_config()
+        for line in lines:
+            it, *_, lr_g, lr_m = map(float, line.split(","))
+            decay = 0.1 ** (it / cfg.total_iters)
+            assert lr_g == pytest.approx(cfg.lr_grid * decay, rel=1e-9)
+            assert lr_m == pytest.approx(2e-3 * decay, rel=1e-9)
 
     def test_same_seed_identical_history(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=6, res=(8, 3))
@@ -896,7 +902,6 @@ class TestConfigValidation:
         assert cfg.mlp_width == 256
         assert cfg.batch_rays == 1024
         assert cfg.lr_grid == 0.2
-        assert cfg.lr_mlp == 2e-3
         assert cfg.total_iters == 100_000
         assert cfg.tau == 1e-4
         assert cfg.bg_weight == 1e-4
