@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import sys
 import time
@@ -215,6 +216,15 @@ def _subset(dataset: Dataset, indices) -> Dataset:
                    base_dir=dataset.base_dir)
 
 
+def _prepare_output_file(path) -> None:
+    """Make the parent directories of output file path; before any work, an
+    I/O error if path is a directory, which the file could never replace."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "output file is a directory", str(path))
+
+
 def cmd_synth(cfg: dict) -> int:
     scene, geometry = builtin_scene(cfg["scene.name"], cfg.get("scene.tx_modulation"))
     if cfg.get("geometry.spectrum_res"):
@@ -256,7 +266,7 @@ def cmd_train(cfg: dict) -> int:
     config = _train_config(cfg)
     log_path = cfg.get("paths.log")
     for path in filter(None, (cfg["paths.out"], log_path)):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        _prepare_output_file(path)
     log_fh = open(log_path, "w") if log_path else None
     t0 = time.perf_counter()
     try:
@@ -289,7 +299,7 @@ def cmd_infer(cfg: dict) -> int:
     model, meta = load_checkpoint(cfg["paths.checkpoint"])
     geometry = geometry_from_checkpoint(cfg["paths.checkpoint"], meta)
     tx = np.array(cfg["run.tx"], dtype=np.float64)
-    Path(cfg["paths.out"]).parent.mkdir(parents=True, exist_ok=True)
+    _prepare_output_file(cfg["paths.out"])
     t0 = time.perf_counter()
     spectrum = render_spectrum(model, geometry, tx, tau=float(cfg["run.tau"]))
     elapsed = time.perf_counter() - t0

@@ -128,6 +128,49 @@ class SyntheticScene:
                 raise ValueError("blob centers must lie inside the bbox")
 
 
+def _check_fine_step(fine_step) -> None:
+    """The oracle's quadrature step must be finite and positive (NaN fails)."""
+    if not 0 < fine_step < math.inf:
+        raise ValueError(f"fine_step must be positive and finite, got {fine_step}")
+
+
+def _oracle_density(scene: SyntheticScene, xs: np.ndarray):
+    """Density at positions xs (N, 3) and, per blob, its emission-scaled
+    Gaussian there; neither depends on the transmitter."""
+    sigma = np.zeros(xs.shape[0])
+    emitting = []
+    for b in scene.blobs:
+        d2 = np.sum((xs - b.center) ** 2, axis=1)
+        g = np.exp(-d2 / (2.0 * b.radius ** 2))
+        sigma += b.peak_density * g
+        emitting.append(b.emission * g)
+    return sigma, emitting
+
+
+def _oracle_tx_units(scene: SyntheticScene, tx: np.ndarray) -> list:
+    """Per blob, the unit vector from its center to transmitter tx (3,), or
+    None where tx sits exactly at the center."""
+    units = []
+    for b in scene.blobs:
+        to_tx = tx - b.center
+        norm = np.linalg.norm(to_tx)
+        units.append(to_tx / norm if norm > 0 else None)
+    return units
+
+
+def _oracle_emission(scene: SyntheticScene, emitting: list, units: list,
+                     dirs: np.ndarray) -> np.ndarray:
+    """Emission at the samples of emitting (from _oracle_density) for the
+    transmitter of units (from _oracle_tx_units), along the per-sample
+    emission directions dirs (N, 3)."""
+    emission = np.zeros(dirs.shape[0])
+    for eg, unit in zip(emitting, units):
+        cos_term = (dirs @ unit) if unit is not None else np.zeros(dirs.shape[0])
+        gain = (1.0 + scene.tx_modulation * np.cos(np.pi * cos_term)) / 2.0
+        emission += eg * gain
+    return np.clip(emission, 0.0, 1.0)
+
+
 def oracle_density_emission(scene: SyntheticScene, x: np.ndarray, tx: np.ndarray,
                             direction: np.ndarray):
     """Analytic ground-truth field at sample positions.
@@ -141,22 +184,25 @@ def oracle_density_emission(scene: SyntheticScene, x: np.ndarray, tx: np.ndarray
     xs = np.atleast_2d(np.asarray(x, dtype=np.float64))
     dirs = np.broadcast_to(np.atleast_2d(np.asarray(direction, dtype=np.float64)),
                            (xs.shape[0], 3))
-    tx = np.asarray(tx, dtype=np.float64)
-    sigma = np.zeros(xs.shape[0])
-    emission = np.zeros(xs.shape[0])
-    for b in scene.blobs:
-        d2 = np.sum((xs - b.center) ** 2, axis=1)
-        g = np.exp(-d2 / (2.0 * b.radius ** 2))
-        sigma += b.peak_density * g
-        to_tx = tx - b.center
-        norm = np.linalg.norm(to_tx)
-        cos_term = (dirs @ (to_tx / norm)) if norm > 0 else np.zeros(xs.shape[0])
-        gain = (1.0 + scene.tx_modulation * np.cos(np.pi * cos_term)) / 2.0
-        emission += b.emission * g * gain
-    emission = np.clip(emission, 0.0, 1.0)
+    sigma, emitting = _oracle_density(scene, xs)
+    units = _oracle_tx_units(scene, np.asarray(tx, dtype=np.float64))
+    emission = _oracle_emission(scene, emitting, units, dirs)
     if np.asarray(x).ndim == 1:
         return float(sigma[0]), float(emission[0])
     return sigma, emission
+
+
+def _oracle_weights(sigma: np.ndarray, spacing: np.ndarray):
+    """Product-form weights w of k >= 1 samples, each sample's transmittance
+    recomputed as a full product over its predecessors, and the per-sample
+    factors 1 - alpha whose product is the exit transmittance."""
+    alpha = 1.0 - np.exp(-sigma * spacing)
+    one_minus = 1.0 - alpha
+    j = np.arange(sigma.size)
+    # row i multiplies the predecessors of sample i, ones elsewhere
+    partial = np.where(j[None, :] < j[:, None], one_minus[None, :], 1.0)
+    trans = partial.prod(axis=1)
+    return trans * alpha, one_minus
 
 
 def oracle_composite(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray):
@@ -168,16 +214,9 @@ def oracle_composite(sigma: np.ndarray, signal: np.ndarray, spacing: np.ndarray)
     sigma = np.asarray(sigma, dtype=np.float64)
     signal = np.asarray(signal, dtype=np.float64)
     spacing = np.asarray(spacing, dtype=np.float64)
-    k = sigma.size
-    if k == 0:
+    if sigma.size == 0:
         return 0.0, 1.0, np.empty(0)
-    alpha = 1.0 - np.exp(-sigma * spacing)
-    one_minus = 1.0 - alpha
-    j = np.arange(k)
-    # row i multiplies the predecessors of sample i, ones elsewhere
-    partial = np.where(j[None, :] < j[:, None], one_minus[None, :], 1.0)
-    trans = partial.prod(axis=1)
-    w = trans * alpha
+    w, one_minus = _oracle_weights(sigma, spacing)
     r_out = float(np.sum(w * signal))
     t_k = float(one_minus.prod())
     return r_out, t_k, w
@@ -195,14 +234,26 @@ def _oracle_clip(origin, direction, bbox: Aabb) -> float:
     return max(float(t_exit), 0.0)
 
 
-def oracle_render(scene: SyntheticScene, geometry: SceneGeometry, tx: np.ndarray,
-                  fine_step: float) -> np.ndarray:
-    """Ground-truth spatial spectrum of the analytic scene at a fine step."""
-    if fine_step <= 0:
-        raise ValueError("fine_step must be positive")
+def oracle_render_spectra(scene: SyntheticScene, geometry: SceneGeometry,
+                          tx_positions: np.ndarray, fine_step: float) -> np.ndarray:
+    """Ground-truth spatial spectra (T, M, N) of the analytic scene for the
+    transmitters tx_positions (T, 3), at a fine step.
+
+    One walk over the rays: each ray's samples, density and product-form
+    weights are computed once and shared by every transmitter; only the
+    emission, and the weighted sum R = sum(w * emission), is per transmitter.
+    Each value is bit for bit what `oracle_density_emission` and
+    `oracle_composite` give for that ray and transmitter.
+    """
+    _check_fine_step(fine_step)
+    txs = np.asarray(tx_positions, dtype=np.float64)
+    if txs.ndim != 2 or txs.shape[1] != 3 or not np.all(np.isfinite(txs)):
+        raise ValueError(f"tx_positions must be (T, 3) finite numbers, got shape "
+                         f"{txs.shape}")
+    tx_units = [_oracle_tx_units(scene, tx) for tx in txs]
     res = geometry.spectrum_res
     dirs = all_directions(res)
-    out = np.zeros(len(dirs))
+    out = np.zeros((len(txs), len(dirs)))
     for i, d in enumerate(dirs):
         t_far = _oracle_clip(geometry.rx_position, d, geometry.bbox)
         k = int(t_far / fine_step)
@@ -212,9 +263,25 @@ def oracle_render(scene: SyntheticScene, geometry: SceneGeometry, tx: np.ndarray
         positions = geometry.rx_position + r[:, None] * d
         spacing = np.full(k, fine_step)
         spacing[-1] = t_far - r[-1]
-        sigma, emission = oracle_density_emission(scene, positions, tx, -d)
-        out[i], _, _ = oracle_composite(sigma, emission, spacing)
-    return out.reshape(res)
+        sigma, emitting = _oracle_density(scene, positions)
+        w, _ = _oracle_weights(sigma, spacing)
+        # a stride-0 view, as oracle_density_emission builds it: a contiguous
+        # copy takes another matmul path and can round cos_term differently
+        emit_dirs = np.broadcast_to(np.atleast_2d(-d), (k, 3))
+        for t, units in enumerate(tx_units):
+            out[t, i] = float(np.sum(w * _oracle_emission(scene, emitting, units,
+                                                          emit_dirs)))
+    return out.reshape(len(txs), *res)
+
+
+def oracle_render(scene: SyntheticScene, geometry: SceneGeometry, tx: np.ndarray,
+                  fine_step: float) -> np.ndarray:
+    """Ground-truth spatial spectrum (M, N) of the analytic scene for one
+    transmitter tx (3,) at a fine step: `oracle_render_spectra` of one."""
+    tx = np.asarray(tx, dtype=np.float64)
+    if tx.shape != (3,) or not np.all(np.isfinite(tx)):
+        raise ValueError(f"tx must be three finite numbers, got {tx.tolist()}")
+    return oracle_render_spectra(scene, geometry, tx[None], fine_step)[0]
 
 
 def _read_json(path):
@@ -374,25 +441,30 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
                      rssi_noise_db: float | None = None) -> Dataset:
     """Sample transmitter positions, render ground truth, write a dataset.
 
-    Spectra are normalized by the global maximum across all records (stored in
-    the manifest so absolute power is recoverable). With rssi_noise_db set,
-    each record also carries a ground-truth RSSI in dB of the unnormalized
-    power sum plus seeded Gaussian measurement noise.
+    Ground truth comes from `oracle_render_spectra` at fine_step (default:
+    the bbox's smallest extent / 512): one walk over the rays, whose density
+    and weights every transmitter shares. out_dir is created before any
+    rendering, so an unusable target fails first. Spectra are normalized by
+    the global maximum across all records (stored in the manifest so
+    absolute power is recoverable). With rssi_noise_db set, each record also
+    carries a ground-truth RSSI in dB of the unnormalized power sum plus
+    seeded Gaussian measurement noise.
     """
     if n_tx < 1:
         raise ValueError("need at least one transmitter position")
     if fine_step is None:
         fine_step = float(geometry.bbox.extent.min()) / 512.0
-    if not 0 < fine_step < math.inf:
-        raise ValueError(f"fine_step must be positive and finite, got {fine_step}")
+    _check_fine_step(fine_step)
     if rssi_noise_db is not None and not 0 <= rssi_noise_db < math.inf:
         raise ValueError(f"rssi_noise_db must be finite and nonnegative, "
                          f"got {rssi_noise_db}")
     rng = np.random.default_rng(seed)
     tx_positions = rng.uniform(geometry.bbox.min_corner, geometry.bbox.max_corner,
                                size=(n_tx, 3))
-    raw = np.stack([oracle_render(scene, geometry, tx, fine_step)
-                    for tx in tx_positions])
+    out_dir = Path(out_dir)
+    spectra_dir = out_dir / "spectra"
+    spectra_dir.mkdir(parents=True, exist_ok=True)
+    raw = oracle_render_spectra(scene, geometry, tx_positions, fine_step)
     peak = float(raw.max())
     if peak <= 0:
         raise ValueError("scene produced no power anywhere; cannot normalize")
@@ -405,9 +477,6 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
             if raw[i].sum() > 0:
                 rssi[i] = aggregate_rssi(raw[i], noise[i])
 
-    out_dir = Path(out_dir)
-    spectra_dir = out_dir / "spectra"
-    spectra_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i in range(n_tx):
         rel = f"spectra/tx_{i:05d}.vxrf"
@@ -443,20 +512,25 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     params = model.parameters()
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                             len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            # through the buffer protocol: no bytes copy of the float32 array
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                 len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params.items():
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", tensor.ndim))
+                fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+                # through the buffer protocol: no bytes copy of the float32 array
+                fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)  # a failed write or rename leaves no <path>.tmp behind
+        raise
 
 
 def load_checkpoint(path):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radiofield import cli, renderer
+from radiofield import cli, dataio, renderer
 from radiofield.cli import (
     _SCHEMA,
     _load_config_file,
@@ -604,6 +604,48 @@ class TestTrainInferEval:
         code = run_cli("train", "--data", tmp_path / "absent",
                        "--out", tmp_path / "m.ckpt", *TINY_TRAIN)
         assert code == 3
+
+
+def refuse(stage):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{stage} started before the output target was checked")
+    return fail
+
+
+class TestOutputTargetCheckedFirst:
+    """An output target that can never be written fails with exit 3 before any
+    training, rendering or synthesis, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("taken", ["out", "log"])
+    def test_train_target_is_directory(self, pipeline, tmp_path, monkeypatch, capsys,
+                                       taken):
+        _, data, _, _ = pipeline
+        monkeypatch.setattr(cli, "train", refuse("training"))
+        paths = {"out": tmp_path / "m.ckpt", "log": tmp_path / "train.csv"}
+        paths[taken].mkdir()
+        assert run_cli("train", "--data", data, "--out", paths["out"],
+                       "--log", paths["log"], *TINY_TRAIN) == 3
+        assert "output file is a directory" in capsys.readouterr().err
+        # no log was started and no <out>.tmp checkpoint was left
+        assert [p.name for p in tmp_path.iterdir()] == [paths[taken].name]
+        assert not any(paths[taken].iterdir())
+
+    def test_infer_out_is_directory(self, pipeline, tmp_path, monkeypatch, capsys):
+        _, _, ckpt, _ = pipeline
+        monkeypatch.setattr(cli, "render_spectrum", refuse("rendering"))
+        assert run_cli("infer", "--checkpoint", ckpt, "--tx", 1, 1, 1,
+                       "--out", tmp_path) == 3
+        assert "output file is a directory" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out", ["taken", "taken/data"], ids=["file", "under_file"])
+    def test_synth_out_is_file(self, tmp_path, monkeypatch, out):
+        monkeypatch.setattr(dataio, "oracle_render_spectra", refuse("synthesis"))
+        (tmp_path / "taken").write_bytes(b"keep")
+        assert run_cli("synth", "--scene", "demo", "--n-tx", 4,
+                       "--out", tmp_path / out) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert (tmp_path / "taken").read_bytes() == b"keep"
 
 
 class TestSplit:

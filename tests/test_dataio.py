@@ -22,13 +22,14 @@ from radiofield.dataio import (
     oracle_composite,
     oracle_density_emission,
     oracle_render,
+    oracle_render_spectra,
     read_spectrum,
     save_checkpoint,
     save_manifest,
     write_spectrum,
 )
 from radiofield.field_model import init_field_model, query_signal
-from radiofield.renderer import SceneGeometry, composite, render_spectrum
+from radiofield.renderer import SceneGeometry, all_directions, composite, render_spectrum
 from radiofield.voxel_grid import Aabb
 
 
@@ -172,6 +173,21 @@ class TestOracleRender:
         m_idx, n_idx = np.unravel_index(np.argmax(spec), spec.shape)
         assert n_idx == 3  # highest elevation row
 
+    @pytest.mark.parametrize("tx", [[np.nan, 1.0, 1.0], [1.0, np.inf, 1.0],
+                                    [[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]], [1.0, 1.0]],
+                             ids=["nan", "inf", "two_rows", "two_values"])
+    def test_bad_tx_rejected_by_name(self, tx):
+        with pytest.raises(ValueError, match="tx must be three finite numbers"):
+            oracle_render(demo_scene(), demo_geometry(), tx, fine_step=0.05)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -0.01])
+    def test_bad_fine_step_rejected_by_name(self, tmp_path, step):
+        with pytest.raises(ValueError, match="fine_step must be positive and finite"):
+            oracle_render(demo_scene(), demo_geometry(), np.ones(3), fine_step=step)
+        with pytest.raises(ValueError, match="fine_step must be positive and finite"):
+            generate_dataset(demo_scene(), demo_geometry(), n_tx=2, seed=1,
+                             out_dir=tmp_path / "d", fine_step=step)
+
     def test_step_self_consistency(self):
         scene = demo_scene()
         geo = demo_geometry(res=(6, 3))
@@ -180,6 +196,68 @@ class TestOracleRender:
         a = oracle_render(scene, geo, tx, fine_step=h)
         b = oracle_render(scene, geo, tx, fine_step=h / 2)
         assert np.abs(a - b).max() < 1e-3
+
+
+def reference_render(scene, geometry, tx, fine_step):
+    """One transmitter's spectrum ray by ray, through the public per-ray oracle
+    only: oracle_density_emission, then oracle_composite."""
+    dirs = all_directions(geometry.spectrum_res)
+    out = np.zeros(len(dirs))
+    lo, hi = geometry.bbox.min_corner, geometry.bbox.max_corner
+    for i, d in enumerate(dirs):
+        t_far = np.inf
+        for axis in range(3):
+            if d[axis] > 0:
+                t_far = min(t_far, (hi[axis] - geometry.rx_position[axis]) / d[axis])
+            elif d[axis] < 0:
+                t_far = min(t_far, (lo[axis] - geometry.rx_position[axis]) / d[axis])
+        t_far = max(float(t_far), 0.0)
+        k = int(t_far / fine_step)
+        if k == 0:
+            continue
+        r = (np.arange(k) + 0.5) * fine_step
+        spacing = np.full(k, fine_step)
+        spacing[-1] = t_far - r[-1]
+        sigma, emission = oracle_density_emission(
+            scene, geometry.rx_position + r[:, None] * d, tx, -d)
+        out[i], _, _ = oracle_composite(sigma, emission, spacing)
+    return out.reshape(geometry.spectrum_res)
+
+
+class TestOracleSharedRays:
+    """Every transmitter's spectrum from one density and weight pass per ray is
+    bit for bit the per-ray, per-transmitter oracle."""
+
+    # random transmitters, and one exactly at a blob center (no direction to it)
+    TXS = np.array([[0.3, 1.7, 0.4], [1.9, 0.2, 1.6], [1.0, 1.0, 1.2], [0.8, 0.6, 1.9]])
+
+    @pytest.mark.parametrize("modulation", [0.0, 0.5])
+    @pytest.mark.parametrize("rx", [[1.0, 1.0, 0.2], [2.0, 1.0, 0.2]],
+                             ids=["interior", "on_face"])
+    @pytest.mark.parametrize("divisor", [128, 512], ids=["extent/128", "default"])
+    def test_matches_per_ray_reference(self, modulation, rx, divisor):
+        scene = demo_scene(tx_modulation=modulation)
+        geo = SceneGeometry(rx_position=np.array(rx), bbox=scene.bbox, spectrum_res=(6, 3))
+        step = float(geo.bbox.extent.min()) / divisor
+        got = oracle_render_spectra(scene, geo, self.TXS, step)
+        assert got.shape == (len(self.TXS), 6, 3)
+        for tx, spectrum in zip(self.TXS, got):
+            assert np.array_equal(spectrum, reference_render(scene, geo, tx, step))
+        # on the face x = 2, rays leaving through it have no samples and stay dark
+        outward = all_directions((6, 3))[:, 0] > 0
+        lit = got.reshape(len(self.TXS), -1) > 0
+        assert outward.any() and not outward.all()
+        assert not lit[:, outward].any() if rx[0] == 2.0 else lit.all()
+        assert np.array_equal(oracle_render(scene, geo, self.TXS[2], step), got[2])
+
+    def test_dataset_spectra_are_the_shared_pass(self, tmp_path):
+        scene, geo = demo_scene(), demo_geometry(res=(6, 3))
+        ds = generate_dataset(scene, geo, n_tx=5, seed=4, out_dir=tmp_path / "d",
+                              fine_step=0.03)
+        raw = oracle_render_spectra(scene, geo, ds.tx_positions(), 0.03)
+        assert ds.normalization == raw.max()
+        want = (raw / raw.max()).astype(np.float32).astype(np.float64)
+        assert np.array_equal(ds.load_spectra(), want)
 
 
 class TestGenerateDataset:
@@ -337,6 +415,13 @@ class TestCheckpoint:
         m3, _ = load_checkpoint(p2)
         for (n2, t2), (n3, t3) in zip(m2.parameters().items(), m3.parameters().items()):
             assert n2 == n3 and np.array_equal(t2, t3)
+
+    def test_failed_rename_leaves_no_tmp(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(target, self.make_model())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_loaded_model_renders_identically(self, tmp_path):
         m = self.make_model(seed=5)
