@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -493,6 +494,9 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
+_LOAD_CHUNK = 1 << 18  # float32 values per read of a checkpoint tensor (1 MiB)
+
+
 def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
     """Serialize a model atomically: JSON metadata + named float32 tensors."""
     meta = {
@@ -511,10 +515,13 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
         meta["extra"] = extra
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     params = model.parameters()
-    tmp = str(path) + ".tmp"
-    fh = open(tmp, "wb")
+    # a fresh name beside the target, so a stray <path>.tmp cannot block the save
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp",
+                               dir=target.parent)
     try:
-        with fh:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())  # the mode open() gives
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  len(meta_bytes)))
             fh.write(meta_bytes)
@@ -529,69 +536,79 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
                 fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)  # a failed write or rename leaves no <path>.tmp behind
+        os.unlink(tmp)  # a failed write or rename leaves no temporary behind
         raise
 
 
+def _umask() -> int:
+    """The process umask; os has no call that reads it without setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def load_checkpoint(path):
-    """Rebuild a FieldModel from a checkpoint; returns (model, metadata)."""
+    """Rebuild a FieldModel from a checkpoint; returns (model, metadata).
+
+    Tensors are read in chunks straight into their float64 arrays, so the
+    load holds no float32 copy of the file besides the model it builds."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated header at byte offset 0")
-    magic, version, meta_len = struct.unpack_from("<4sII", blob, off)
-    off += 12
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    if off + meta_len > len(blob):
-        raise FormatError(f"{path}: metadata overruns file at byte offset {off}")
-    try:
-        meta = json.loads(blob[off:off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: corrupt metadata block: {e}") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: metadata block is not a JSON object")
-    off += meta_len
+        size = os.fstat(fh.fileno()).st_size
+        off = 0
 
-    def take(fmt, size):
-        nonlocal off
-        if off + size > len(blob):
-            raise FormatError(f"{path}: truncated at byte offset {off}")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
+        def read(n, problem):
+            nonlocal off
+            data = fh.read(n) if off + n <= size else b""
+            if len(data) != n:
+                raise FormatError(f"{path}: {problem} at byte offset {off}")
+            off += n
+            return data
 
-    (count,) = take("<I", 4)
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = take("<I", 4)
-        if off + name_len > len(blob):
-            raise FormatError(f"{path}: truncated tensor name at byte offset {off}")
+        magic, version, meta_len = struct.unpack("<4sII", read(12, "truncated header"))
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
+        meta_bytes = read(meta_len, "metadata overruns file")
         try:
-            name = blob[off:off + name_len].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: tensor name is not UTF-8 at byte offset "
-                              f"{off}") from e
-        off += name_len
-        (rank,) = take("<I", 4)
-        shape = take(f"<{rank}I", 4 * rank)
-        n_items = math.prod(shape)  # Python integers: a huge shape cannot wrap
-        nbytes = 4 * n_items
-        if off + nbytes > len(blob):
-            raise FormatError(f"{path}: truncated payload of {name!r} "
-                              f"at byte offset {off}")
-        try:
-            tensors[name] = np.frombuffer(blob, dtype="<f4", count=n_items,
-                                          offset=off).reshape(shape).astype(np.float64)
-        except ValueError as e:  # e.g. a zero-size shape too large for numpy
-            raise FormatError(f"{path}: tensor {name!r} has unusable shape {shape} "
-                              f"at byte offset {off}") from e
-        off += nbytes
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes at byte offset {off}")
+            meta = json.loads(meta_bytes.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: corrupt metadata block: {e}") from e
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata block is not a JSON object")
+
+        def take(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt), "truncated"))
+
+        (count,) = take("<I")
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = take("<I")
+            name_b = read(name_len, "truncated tensor name")
+            try:
+                name = name_b.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: tensor name is not UTF-8 at byte offset "
+                                  f"{off - name_len}") from e
+            (rank,) = take("<I")
+            shape = take(f"<{rank}I")
+            n_items = math.prod(shape)  # Python integers: a huge shape cannot wrap
+            if off + 4 * n_items > size:
+                raise FormatError(f"{path}: truncated payload of {name!r} "
+                                  f"at byte offset {off}")
+            try:
+                tensor = np.empty(shape, dtype=np.float64)
+            except ValueError as e:  # e.g. a zero-size shape too large for numpy
+                raise FormatError(f"{path}: tensor {name!r} has unusable shape {shape} "
+                                  f"at byte offset {off}") from e
+            flat = tensor.reshape(-1)
+            for lo in range(0, n_items, _LOAD_CHUNK):
+                hi = min(lo + _LOAD_CHUNK, n_items)
+                flat[lo:hi] = np.frombuffer(
+                    read(4 * (hi - lo), f"truncated payload of {name!r}"), dtype="<f4")
+            tensors[name] = tensor
+        if off != size:
+            raise FormatError(f"{path}: {size - off} trailing bytes at byte offset {off}")
 
     with _fields_of(path):
         dims = tuple(meta["grid_dims"])

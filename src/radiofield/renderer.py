@@ -109,8 +109,8 @@ def clip_rays(origin: np.ndarray, directions: np.ndarray, bbox: Aabb) -> np.ndar
 
 
 def default_step(bbox: Aabb, dims) -> float:
-    """Quarter of the smallest voxel edge (`voxel_edge`)."""
-    return voxel_edge(bbox, dims) / 4.0
+    """Half of the smallest voxel edge (`voxel_edge`)."""
+    return voxel_edge(bbox, dims) / 2.0
 
 
 def _sample_counts(geometry: SceneGeometry, dirs: np.ndarray, step: float):

@@ -365,7 +365,7 @@ def train(dataset: Dataset, config: TrainConfig, log_fn=None,
     model.deform_net = model.deform_net.astype(np.float32)
     model.radiance_net = model.radiance_net.astype(np.float32)
 
-    # a quarter of the final voxel edge in every stage, so upsample events
+    # half of the final voxel edge in every stage, so upsample events
     # change only the representation, not the quadrature
     step = default_step(geometry.bbox, config.final_dims)
     cache = _StageCache(geometry, model, step)

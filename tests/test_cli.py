@@ -421,6 +421,19 @@ class TestTrainInferEval:
         assert len(lines) == 5  # iters 0,10,20,30,39
         assert all(len(l.split(",")) == 6 for l in lines)
 
+    def test_train_beside_stale_tmp_directory(self, pipeline, tmp_path):
+        _, data, _, _ = pipeline
+        out, stale = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
+        stale.mkdir()
+        (stale / "keep").write_bytes(b"keep")
+        assert run_cli("train", "--data", data, "--out", out, "--log", tmp_path / "l.csv",
+                       "--split-seed", 0, *TINY_TRAIN) == 0
+        load_checkpoint(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "m.ckpt",
+                                                              "m.ckpt.tmp"]
+        assert [p.name for p in stale.iterdir()] == ["keep"]
+        assert (stale / "keep").read_bytes() == b"keep"
+
     def test_infer_writes_spectrum_and_reports_time(self, pipeline):
         tmp, _, ckpt, _ = pipeline
         out = tmp / "new" / "dir" / "spec.vxrf"  # infer makes the directories

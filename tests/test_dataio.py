@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import stat
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +424,37 @@ class TestCheckpoint:
         with pytest.raises(IsADirectoryError):
             save_checkpoint(target, self.make_model())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_stale_tmp_directory_is_left_alone(self, tmp_path):
+        stale = tmp_path / "m.ckpt.tmp"
+        stale.mkdir()
+        (stale / "keep").write_bytes(b"keep")
+        m = self.make_model()
+        save_checkpoint(tmp_path / "m.ckpt", m)
+        back, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert all(np.array_equal(t, m.parameters()[n].astype(np.float32))
+                   for n, t in back.parameters().items())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.tmp"]
+        assert [p.name for p in stale.iterdir()] == ["keep"]
+        assert (stale / "keep").read_bytes() == b"keep"
+        # the mode a plain open() gives under the process umask
+        (tmp_path / "plain").write_bytes(b"")
+        assert (stat.S_IMODE((tmp_path / "m.ckpt").stat().st_mode)
+                == stat.S_IMODE((tmp_path / "plain").stat().st_mode))
+
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        box = Aabb(np.zeros(3), np.ones(3))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_field_model(box, (48, 48, 48), 16, 16, seed=0))
+        tracemalloc.start()
+        try:
+            model, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = sum(t.nbytes for t in model.parameters().values())
+        assert path.stat().st_size > 7 * 2**20
+        assert peak < built + 2 * 2**20  # the float64 model and one chunk
 
     def test_loaded_model_renders_identically(self, tmp_path):
         m = self.make_model(seed=5)

@@ -169,10 +169,10 @@ class TestSampleRay:
             np.testing.assert_array_equal(one_pos, pos[sel])
             np.testing.assert_array_equal(one_spc, spc[sel])
 
-    def test_default_step_is_quarter_voxel(self):
+    def test_default_step_is_half_voxel(self):
         box = Aabb(np.zeros(3), np.array([4.0, 2.0, 1.0]))
-        # edges: 4/3, 2/3, 1/3 -> min 1/3 -> quarter = 1/12
-        assert default_step(box, (4, 4, 4)) == pytest.approx(1.0 / 12.0, rel=1e-12)
+        # edges: 4/3, 2/3, 1/3 -> min 1/3 -> half = 1/6
+        assert default_step(box, (4, 4, 4)) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 class TestComposite:
@@ -299,7 +299,7 @@ class TestForwardSegments:
         assert np.array_equal(r, one_r) and np.array_equal(t_k, one_t)
         assert r[3] != r[4]  # the repeated cell sees its own transmitter
 
-    def test_table_step_defaults_to_quarter_voxel(self):
+    def test_table_step_defaults_to_half_voxel(self):
         m = smooth_model()
         geo = demo_geometry()
         step = default_step(geo.bbox, m.density_grid.dims)
@@ -544,7 +544,7 @@ class TestRenderBlocks:
         monkeypatch.setattr(renderer, "_RENDER_BLOCK", budget)
         geo = make_geometry()
         dirs = all_directions(geo.spectrum_res)
-        step = default_step(geo.bbox, (6, 6, 6))
+        step = default_step(geo.bbox, (11, 11, 11))
         counts = np.diff(sample_rays(geo, dirs, step)[2])
         blocks = list(renderer._ray_blocks(geo, dirs, step))
         covered = np.concatenate([np.arange(len(dirs))[b] for b in blocks])
@@ -605,7 +605,7 @@ from radiofield.field_model import init_field_model
 from radiofield.renderer import SceneGeometry, render_spectrum_traced
 _, demo = cli.builtin_scene("demo")
 geo = SceneGeometry(demo.rx_position, demo.bbox, (360, 90))
-model = init_field_model(geo.bbox, (8, 8, 8), 8, 64, seed=0)
+model = init_field_model(geo.bbox, (15, 15, 15), 8, 64, seed=0)
 _, stats = render_spectrum_traced(model, geo, np.array([1.0, 2.0, 1.0]))
 print(stats.n_samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
