@@ -494,11 +494,12 @@ def generate_dataset(scene: SyntheticScene, geometry: SceneGeometry, n_tx: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_LOAD_CHUNK = 1 << 18  # float32 values per read of a checkpoint tensor (1 MiB)
+_TENSOR_CHUNK = 1 << 18  # float32 values per write or read of a tensor (1 MiB)
 
 
 def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
-    """Serialize a model atomically: JSON metadata + named float32 tensors."""
+    """Serialize a model atomically: JSON metadata + named float32 tensors,
+    each written in chunks, so the save holds no float32 copy of a tensor."""
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "grid_dims": list(model.density_grid.dims),
@@ -532,8 +533,9 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
                 fh.write(name_b)
                 fh.write(struct.pack("<I", tensor.ndim))
                 fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-                # through the buffer protocol: no bytes copy of the float32 array
-                fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+                flat = tensor.reshape(-1)
+                for lo in range(0, flat.size, _TENSOR_CHUNK):
+                    fh.write(np.ascontiguousarray(flat[lo:lo + _TENSOR_CHUNK], dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)  # a failed write or rename leaves no temporary behind
@@ -602,8 +604,8 @@ def load_checkpoint(path):
                 raise FormatError(f"{path}: tensor {name!r} has unusable shape {shape} "
                                   f"at byte offset {off}") from e
             flat = tensor.reshape(-1)
-            for lo in range(0, n_items, _LOAD_CHUNK):
-                hi = min(lo + _LOAD_CHUNK, n_items)
+            for lo in range(0, n_items, _TENSOR_CHUNK):
+                hi = min(lo + _TENSOR_CHUNK, n_items)
                 flat[lo:hi] = np.frombuffer(
                     read(4 * (hi - lo), f"truncated payload of {name!r}"), dtype="<f4")
             tensors[name] = tensor
@@ -612,7 +614,16 @@ def load_checkpoint(path):
 
     with _fields_of(path):
         dims = tuple(meta["grid_dims"])
-        feature_dim = int(meta["feature_dim"])
+        # checked, not coerced: "4" or 5.7 is no count and "false" no flag
+        for key in ("feature_dim", "enc_pos_levels", "enc_dir_levels"):
+            if type(meta[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {meta[key]!r}")
+        if type(meta["deform_enabled"]) is not bool:
+            raise TypeError(f"deform_enabled must be true or false, "
+                            f"got {meta['deform_enabled']!r}")
+        if type(meta["density_bias"]) not in (int, float):
+            raise TypeError(f"density_bias must be a number, got {meta['density_bias']!r}")
+        feature_dim = meta["feature_dim"]
         bbox = Aabb(np.array(meta["bbox_min"], dtype=np.float64),
                     np.array(meta["bbox_max"], dtype=np.float64))
         density_bias = float(meta["density_bias"])
@@ -640,10 +651,10 @@ def load_checkpoint(path):
                                    values=tensors["feature_grid"]),
             deform_net=FieldModel.net_from_parameters(tensors, "deform"),
             radiance_net=FieldModel.net_from_parameters(tensors, "radiance"),
-            enc_pos_levels=int(meta["enc_pos_levels"]),
-            enc_dir_levels=int(meta["enc_dir_levels"]),
+            enc_pos_levels=meta["enc_pos_levels"],
+            enc_dir_levels=meta["enc_dir_levels"],
             density_bias=density_bias,
-            deform_enabled=bool(meta["deform_enabled"]),
+            deform_enabled=meta["deform_enabled"],
         )
     return model, meta
 

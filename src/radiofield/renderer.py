@@ -54,7 +54,11 @@ class SceneGeometry:
 
     def __post_init__(self):
         self.rx_position = np.asarray(self.rx_position, dtype=np.float64)
-        self.spectrum_res = (int(self.spectrum_res[0]), int(self.spectrum_res[1]))
+        res = tuple(self.spectrum_res)
+        if len(res) != 2 or not all(isinstance(r, (int, np.integer))
+                                    and not isinstance(r, bool) for r in res):
+            raise ValueError(f"spectrum_res must be two integers, got {list(res)}")
+        self.spectrum_res = (int(res[0]), int(res[1]))
         if self.rx_position.shape != (3,):
             raise ValueError("rx_position must be a 3-vector")
         if not self.bbox.contains(self.rx_position):

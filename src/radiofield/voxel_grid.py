@@ -238,9 +238,10 @@ def upsample(grid: VoxelGrid, new_dims) -> VoxelGrid:
     """Resample onto a finer node lattice over the same bbox.
 
     New node values equal the trilinear interpolation of the old grid at the
-    new node positions. Node positions that coincide with old nodes (including
-    all boundary nodes) copy the old value exactly: the per-axis fraction is
-    derived with integer arithmetic, so coinciding nodes get weight exactly 1.
+    new node positions, built one new z-plane at a time by linear passes along
+    z, y and x, so only the output is grid-sized. Nodes that coincide with old
+    nodes (all boundary nodes included) copy the old value exactly: each axis's
+    fraction is derived with integer arithmetic, so it is exactly 0 or 1 there.
     """
     new_dims = tuple(int(d) for d in new_dims)
     if any(nd < d for nd, d in zip(new_dims, grid.dims)):
@@ -261,15 +262,12 @@ def upsample(grid: VoxelGrid, new_dims) -> VoxelGrid:
     iy0, ty = axis_support(grid.dims[1], new_dims[1])
     iz0, tz = axis_support(grid.dims[2], new_dims[2])
 
-    lz, ly, lx = grid.dims[2], grid.dims[1], grid.dims[0]
-    old = grid.values.reshape(lz, ly, lx, grid.channels)
-    out = np.zeros((new_dims[2], new_dims[1], new_dims[0], grid.channels))
-    wx = (1.0 - tx, tx)
-    wy = (1.0 - ty, ty)
-    wz = (1.0 - tz, tz)
-    for c in range(8):
-        cx, cy, cz = c & 1, (c >> 1) & 1, (c >> 2) & 1
-        wgt = wz[cz][:, None, None, None] * wy[cy][None, :, None, None] * wx[cx][None, None, :, None]
-        out += wgt * old[np.ix_(iz0 + cz, iy0 + cy, ix0 + cx)]
+    old = grid.values.reshape(grid.dims[2], grid.dims[1], grid.dims[0], grid.channels)
+    out = np.empty((new_dims[2], new_dims[1], new_dims[0], grid.channels))
+    ty, tx = ty[:, None, None], tx[:, None]
+    for k in range(new_dims[2]):
+        plane = old[iz0[k]] * (1.0 - tz[k]) + old[iz0[k] + 1] * tz[k]
+        rows = plane[iy0] * (1.0 - ty) + plane[iy0 + 1] * ty
+        out[k] = rows[:, ix0] * (1.0 - tx) + rows[:, ix0 + 1] * tx
     return VoxelGrid(dims=new_dims, channels=grid.channels, bbox=grid.bbox,
                      values=out.reshape(-1, grid.channels))

@@ -195,6 +195,19 @@ class TestMalformedInput:
         assert "Traceback" not in res.stderr and field in res.stderr
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("res", [[12.7, 4, 9], [36.9, 9], ["36", "9"]])
+    def test_bad_spectrum_res_in_scene_file_is_format_error(self, tmp_path, res):
+        # [12.7, 4, 9] once synthesized a 12x4 dataset and exited 0
+        doc = json.loads(scene_bytes())
+        doc["spectrum_res"] = res
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(doc))
+        run = run_cli_subprocess("synth", "--scene", scene, "--n-tx", 1,
+                                 "--fine-step", 0.1, "--out", tmp_path / "d")
+        assert run.returncode == 4, run.stderr
+        assert "Traceback" not in run.stderr and "spectrum_res" in run.stderr
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("doc,args", [
         ({"paths": {"out": 5}}, ["synth", "--n-tx", "1"]),
         ({"run": {"n_tx": [3]}}, ["synth", "--out", "OUT"]),
@@ -591,6 +604,40 @@ class TestTrainInferEval:
             load_checkpoint(bad)
         assert run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
                        "--out", tmp_path / "o.vxrf") == 4
+
+    @pytest.mark.parametrize("key,value", [
+        ("deform_enabled", "false"), ("deform_enabled", 0),
+        ("enc_pos_levels", 5.7), ("enc_pos_levels", "4"),
+        ("enc_dir_levels", 2.0), ("enc_dir_levels", True),
+        ("feature_dim", "4"), ("feature_dim", 4.0),
+        ("density_bias", "-1.0"), ("density_bias", None),
+    ])
+    def test_mistyped_metadata_is_format_error(self, pipeline, tmp_path, key, value):
+        # checked, not coerced: "false" would load with deformation on, 5.7 as 5
+        _, _, ckpt, _ = pipeline
+        bad = with_metadata(ckpt, tmp_path / "typed.ckpt",
+                            lambda meta: meta.update({key: value}))
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(bad)
+        assert run_cli("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
+                       "--out", tmp_path / "o.vxrf") == 4
+
+    def test_integer_density_bias_loads(self, pipeline, tmp_path):
+        _, _, ckpt, _ = pipeline
+        ok = with_metadata(ckpt, tmp_path / "int_bias.ckpt",
+                           lambda meta: meta.update(density_bias=-2))
+        model, _ = load_checkpoint(ok)
+        assert model.density_bias == -2.0 and type(model.density_bias) is float
+
+    def test_checkpoint_with_bad_spectrum_res_exit_code(self, pipeline, tmp_path):
+        _, _, ckpt, _ = pipeline
+        bad = with_metadata(ckpt, tmp_path / "res.ckpt",
+                            lambda meta: meta["extra"].update(spectrum_res=[12.7, 4]))
+        res = run_cli_subprocess("infer", "--checkpoint", bad, "--tx", 1, 1, 1,
+                                 "--out", tmp_path / "o.vxrf")
+        assert res.returncode == 4, res.stderr
+        assert "Traceback" not in res.stderr and "spectrum_res" in res.stderr
+        assert not (tmp_path / "o.vxrf").exists()
 
     def test_undecodable_tensor_name_exit_code(self, pipeline, tmp_path):
         _, _, ckpt, _ = pipeline

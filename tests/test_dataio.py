@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radiofield import dataio
 from radiofield.dataio import (
     Blob,
     Dataset,
@@ -340,6 +341,9 @@ class TestGenerateDataset:
         manifest = tmp_path / "d" / "manifest.json"
         good = json.loads(manifest.read_text())
         for edit in (lambda doc: doc["scene"].pop("spectrum_res"),
+                     lambda doc: doc["scene"].update(spectrum_res=[6.5, 3]),
+                     lambda doc: doc["scene"].update(spectrum_res=[6, 3, 1]),
+                     lambda doc: doc["scene"].update(spectrum_res=["6", "3"]),
                      lambda doc: doc.update(records=None)):
             doc = json.loads(json.dumps(good))
             edit(doc)
@@ -386,6 +390,17 @@ class TestSceneValidation:
         load_scene_file(self._write(tmp_path, doc))
         edit(doc)
         with pytest.raises(FormatError, match=field):
+            load_scene_file(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("res", [[12.7, 4, 9], [36.9, 9], ["36", "9"], [12], 12])
+    def test_bad_spectrum_res_in_scene_file_is_format_error(self, tmp_path, res):
+        doc = {"bbox": {"min_corner": [0, 0, 0], "max_corner": [2, 2, 2]},
+               "rx_position": [1.0, 1.0, 0.5], "spectrum_res": [12, 4],
+               "blobs": [{"center": [1.0, 1.0, 1.3], "radius": 0.3,
+                          "peak_density": 6.0, "emission": 0.8}]}
+        assert load_scene_file(self._write(tmp_path, doc))[1].spectrum_res == (12, 4)
+        doc["spectrum_res"] = res
+        with pytest.raises(FormatError, match="spectrum_res"):
             load_scene_file(self._write(tmp_path, doc))
 
     @staticmethod
@@ -455,6 +470,32 @@ class TestCheckpoint:
         built = sum(t.nbytes for t in model.parameters().values())
         assert path.stat().st_size > 7 * 2**20
         assert peak < built + 2 * 2**20  # the float64 model and one chunk
+
+    def test_chunked_save_writes_the_whole_array_bytes(self, tmp_path, monkeypatch):
+        box = Aabb(np.zeros(3), np.ones(3))
+        model = init_field_model(box, (48, 48, 47), 16, 16, seed=0)
+        grid = model.feature_grid.values
+        assert grid.size > 6 * dataio._TENSOR_CHUNK and grid.size % dataio._TENSOR_CHUNK
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "chunked.ckpt", model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # one float32 chunk, not the 6.9 MB grid
+        monkeypatch.setattr(dataio, "_TENSOR_CHUNK", grid.size)
+        save_checkpoint(tmp_path / "whole.ckpt", model)
+        digests = {hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("chunked.ckpt", "whole.ckpt")}
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("res", [[6.5, 3], [6, 3, 1], ["6", "3"]])
+    def test_bad_spectrum_res_in_extra_is_format_error(self, tmp_path, res):
+        m = self.make_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, extra={"rx_position": [1.0, 1.0, 1.0], "spectrum_res": res})
+        with pytest.raises(FormatError, match="spectrum_res"):
+            geometry_from_checkpoint(path, load_checkpoint(path)[1])
 
     def test_loaded_model_renders_identically(self, tmp_path):
         m = self.make_model(seed=5)

@@ -664,3 +664,19 @@ class TestSceneGeometry:
         with pytest.raises(ValueError):
             SceneGeometry(rx_position=np.zeros(3), bbox=centered_box(),
                           spectrum_res=(0, 2))
+
+    @pytest.mark.parametrize("res", [(36.9, 9), (36.0, 9), ("36", "9"), "36", (12, 4, 9),
+                                     (12,), (True, 9), (np.float64(36), 9)],
+                             ids=["float", "integral_float", "strings", "string",
+                                  "three", "one", "bool", "numpy_float"])
+    def test_resolution_must_be_two_integers(self, res):
+        # no truncation: (36.9, 9) or (12, 4, 9) is not silently (36, 9) or (12, 4)
+        with pytest.raises(ValueError, match="spectrum_res must be two integers"):
+            SceneGeometry(rx_position=np.zeros(3), bbox=centered_box(), spectrum_res=res)
+
+    @pytest.mark.parametrize("res", [(36, 9), [36, 9], (np.int64(36), np.int32(9)),
+                                     np.array([36, 9])])
+    def test_integer_resolution_accepted(self, res):
+        geo = SceneGeometry(rx_position=np.zeros(3), bbox=centered_box(), spectrum_res=res)
+        assert geo.spectrum_res == (36, 9)
+        assert all(type(r) is int for r in geo.spectrum_res)

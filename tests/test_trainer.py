@@ -1,7 +1,9 @@
 """Optimizer closed forms, schedules, progressive dims, end-to-end training."""
 
 import dataclasses
+import platform
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -447,6 +449,37 @@ class TestTrainLoop:
         result = train(ds, smoke_config(final_dims=(10, 10, 10), stages=2,
                                         upsample_iters=(2, 4), total_iters=6))
         assert len(result.upsample_events) == 2 and len(built) == 1
+
+    @pytest.mark.parametrize("free_mib, trims", [(33, 1), (32, 0)])
+    def test_heap_is_trimmed_once_the_fit_is_freed(self, tmp_path, monkeypatch,
+                                                   free_mib, trims):
+        ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
+        tables, calls = [], []
+
+        def tracked(*args, **kwargs):
+            table = _StageCache(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def mallinfo2():
+            calls.append(("info", [t() is None for t in tables]))
+            return trainer._MallInfo2(fordblks=free_mib << 20)
+
+        def malloc_trim(pad):
+            calls.append(("trim", pad))
+            return 1
+
+        monkeypatch.setattr(trainer, "_StageCache", tracked)
+        monkeypatch.setattr(trainer, "_GLIBC_HEAP", (mallinfo2, malloc_trim))
+        train(ds, smoke_config(total_iters=3))
+        # asked once, after the run's table is gone; trimmed past 32 MiB free
+        assert calls == [("info", [True])] + [("trim", 0)] * trims
+
+    def test_glibc_heap_calls_found(self):
+        libc, version = platform.libc_ver()
+        if libc == "glibc" and tuple(map(int, version.split(".")[:2])) >= (2, 33):
+            info, trim = trainer._GLIBC_HEAP
+            assert info().arena > 0 and callable(trim)
 
     def test_nan_targets_abort_with_iteration(self, tmp_path):
         ds = small_dataset(tmp_path, n_tx=4, res=(6, 3))

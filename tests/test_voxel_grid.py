@@ -255,11 +255,12 @@ class TestUpsample:
         same = upsample(g, g.dims)
         assert np.array_equal(same.values, g.values)
 
-    def test_coinciding_nodes_copy_exactly(self):
+    @pytest.mark.parametrize("channels", [1, 2, 24])
+    def test_coinciding_nodes_copy_exactly(self, channels):
         # Factor-2 refinement of odd node counts: every other fine node lands
         # exactly on a coarse node and must carry its value bit-exactly.
         rng = np.random.default_rng(8)
-        g = init_grid((3, 5, 3), 2, unit_box())
+        g = init_grid((3, 5, 3), channels, unit_box())
         g.values[:] = rng.normal(size=g.values.shape)
         fine = upsample(g, (5, 9, 5))
         coarse_pos = g.node_positions()
@@ -269,13 +270,31 @@ class TestUpsample:
             assert len(j) == 1
             assert np.array_equal(fine.values[j[0]], g.values[i])
 
-    def test_new_nodes_match_interpolation_of_old(self):
+    @pytest.mark.parametrize("dims, new_dims, channels", [
+        ((3, 3, 4), (5, 4, 7), 2),
+        ((16,) * 3, (20,) * 3, 8), ((20,) * 3, (25,) * 3, 8), ((25,) * 3, (32,) * 3, 8)],
+        ids=["3x3x4-5x4x7", "desk16-20", "desk20-25", "desk25-32"])
+    def test_new_nodes_match_interpolation_of_old(self, dims, new_dims, channels):
         rng = np.random.default_rng(9)
-        g = init_grid((3, 3, 4), 2, unit_box())
+        g = init_grid(dims, channels, unit_box())
         g.values[:] = rng.normal(size=g.values.shape)
-        up = upsample(g, (5, 4, 7))
+        up = upsample(g, new_dims)
         want = interpolate(g, up.node_positions())
         np.testing.assert_allclose(up.values, want, rtol=0, atol=1e-12)
+
+    def test_memory_is_the_output_and_a_few_planes(self):
+        # 32^3 -> 40^3 at F=24: besides its 11.7 MiB output, the upsample
+        # holds plane-sized temporaries and the new grid's 1.5 MiB finite check
+        rng = np.random.default_rng(10)
+        g = init_grid((32, 32, 32), 24, unit_box())
+        g.values[:] = rng.normal(size=g.values.shape)
+        tracemalloc.start()
+        try:
+            up = upsample(g, (40, 40, 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < up.values.nbytes + 4 * 2**20
 
     def test_shrinking_raises(self):
         g = init_grid((4, 4, 4), 1, unit_box())
