@@ -30,12 +30,17 @@ from .dataio import (
     load_checkpoint,
     load_dataset,
     load_scene_file,
-    read_spectrum,
     save_checkpoint,
     write_spectrum,
 )
 from .metrics import percentile_summary, rssi_error, ssim, write_cdf_csv, write_indexed_csv
-from .renderer import SceneGeometry, aggregate_rssi, render_spectra, render_spectrum
+from .renderer import (
+    SceneGeometry,
+    _checked_transmitters,
+    aggregate_rssi,
+    render_spectra,
+    render_spectrum,
+)
 from .trainer import SKIP_TAU, NumericalError, TrainConfig, rssi_offset, train
 from .voxel_grid import Aabb
 
@@ -296,12 +301,13 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_infer(cfg: dict) -> int:
+    tau = float(cfg["run.tau"])
+    tx = _checked_transmitters(cfg["run.tx"], tau)  # the render checks, before any I/O
     model, meta = load_checkpoint(cfg["paths.checkpoint"])
     geometry = geometry_from_checkpoint(cfg["paths.checkpoint"], meta)
-    tx = np.array(cfg["run.tx"], dtype=np.float64)
     _prepare_output_file(cfg["paths.out"])
     t0 = time.perf_counter()
-    spectrum = render_spectrum(model, geometry, tx, tau=float(cfg["run.tau"]))
+    spectrum = render_spectrum(model, geometry, tx, tau=tau)
     elapsed = time.perf_counter() - t0
     write_spectrum(cfg["paths.out"], spectrum)
     print(f"inference time: {elapsed:.4f}s per spectrum", file=sys.stderr)
@@ -309,10 +315,10 @@ def cmd_infer(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    tau = float(cfg["run.tau"])
+    _checked_transmitters((), tau)  # the render check of tau, before any I/O
     model, meta = load_checkpoint(cfg["paths.checkpoint"])
     dataset = load_dataset(cfg["paths.data"])
-    geometry = dataset.geometry
-    tau = float(cfg["run.tau"])
     train_idx, test_idx = _split(cfg, dataset)
     if len(test_idx) == 0:
         raise ConfigError("train_fraction leaves no held-out records to evaluate")
@@ -330,7 +336,7 @@ def cmd_eval(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     targets = dataset.load_spectra()
-    spectra = render_spectra(model, geometry,
+    spectra = render_spectra(model, dataset.geometry,
                              dataset.tx_positions()[[*test_idx, *calibration_idx]],
                              tau=tau)
     predictions = spectra[:len(test_idx)]

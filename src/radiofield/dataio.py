@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -517,12 +517,10 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     params = model.parameters()
     # a fresh name beside the target, so a stray <path>.tmp cannot block the save
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp",
-                               dir=target.parent)
+    tmp = f"{Path(path)}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")  # only if new, at the mode a plain open() gives
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())  # the mode open() gives
+        with fh:
             fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                  len(meta_bytes)))
             fh.write(meta_bytes)
@@ -540,13 +538,6 @@ def save_checkpoint(path, model: FieldModel, extra: dict | None = None) -> None:
     except BaseException:
         os.unlink(tmp)  # a failed write or rename leaves no temporary behind
         raise
-
-
-def _umask() -> int:
-    """The process umask; os has no call that reads it without setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def load_checkpoint(path):

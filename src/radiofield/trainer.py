@@ -478,8 +478,9 @@ def fit_rssi_calibration(model: FieldModel, geometry: SceneGeometry, records,
     10*log10(total predicted power), over records carrying a measurement;
     their spectra are rendered together (`render_spectra`)."""
     measured = [rec for rec in records if rec.rssi_dbm is not None]
-    spectra = render_spectra(model, geometry,
-                             np.reshape([rec.tx_position for rec in measured], (-1, 3)),
+    if not measured:
+        raise ValueError("no records with measured RSSI and positive predicted power")
+    spectra = render_spectra(model, geometry, np.array([rec.tx_position for rec in measured]),
                              tau=tau)
     return rssi_offset([rec.rssi_dbm for rec in measured], spectra)
 

@@ -708,6 +708,27 @@ class TestOutputTargetCheckedFirst:
         assert (tmp_path / "taken").read_bytes() == b"keep"
 
 
+class TestRenderArgumentsCheckedFirst:
+    """A skip threshold or transmitter the renderer would refuse fails with
+    exit 2 before the checkpoint or dataset is read, and creates nothing."""
+
+    @pytest.mark.parametrize("command,args,out", [
+        ("eval", ["--tau", "nan"], "M"),
+        ("infer", ["--tau", "-1", "--tx", 1, 1, 1], "a/b/o.vxrf"),
+        ("infer", ["--tx", "nan", 1, 1], "a/b/o.vxrf"),
+    ], ids=["eval_tau_nan", "infer_tau_negative", "infer_tx_nan"])
+    def test_bad_value_reads_and_creates_nothing(self, pipeline, tmp_path, monkeypatch,
+                                                 capsys, command, args, out):
+        _, data, ckpt, _ = pipeline
+        monkeypatch.setattr(cli, "load_checkpoint", refuse("loading the checkpoint"))
+        monkeypatch.setattr(cli, "load_dataset", refuse("loading the dataset"))
+        base = {"eval": ["--data", data], "infer": []}[command]
+        assert run_cli(command, "--checkpoint", ckpt, *base, *args,
+                       "--out", tmp_path / out) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestSplit:
     def test_split_deterministic_and_disjoint(self):
         a_train, a_test = split_indices(50, split_seed=4, train_fraction=0.8)

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import stat
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -456,6 +458,59 @@ class TestCheckpoint:
         (tmp_path / "plain").write_bytes(b"")
         assert (stat.S_IMODE((tmp_path / "m.ckpt").stat().st_mode)
                 == stat.S_IMODE((tmp_path / "plain").stat().st_mode))
+
+    def test_save_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        def no_umask(mask):
+            raise AssertionError("save_checkpoint set the process umask")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        m = self.make_model()
+        save_checkpoint(tmp_path / "m.ckpt", m)
+        back, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert all(np.array_equal(t, m.parameters()[n].astype(np.float32))
+                   for n, t in back.parameters().items())
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_mode_matches_a_plain_open_under_the_umask(self, tmp_path, mask):
+        old = os.umask(mask)
+        try:
+            save_checkpoint(tmp_path / "m.ckpt", self.make_model())
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        assert (stat.S_IMODE((tmp_path / "m.ckpt").stat().st_mode)
+                == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+                == 0o666 & ~mask)
+
+    def test_bytes_are_unchanged(self, tmp_path):
+        # the digest the mkstemp-based save wrote for this model and extra
+        save_checkpoint(tmp_path / "m.ckpt", self.make_model(),
+                        extra={"seed": 3, "iteration": 0})
+        assert (hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+                == "fc67f1dc4494ddaa17b20dd9829ce75b88dc155812b3f6bab0f9e2e1a064c236")
+
+    def test_concurrent_saves_to_one_target(self, tmp_path):
+        models = [self.make_model(seed=3), self.make_model(seed=4)]
+        start = threading.Barrier(len(models))
+        errors = []
+
+        def save(model):
+            start.wait()
+            try:
+                save_checkpoint(tmp_path / "m.ckpt", model)
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=save, args=(m,)) for m in models]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        back, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert any(all(np.array_equal(t, m.parameters()[n].astype(np.float32))
+                       for n, t in back.parameters().items()) for m in models)
 
     def test_load_holds_no_copy_of_the_file(self, tmp_path):
         box = Aabb(np.zeros(3), np.ones(3))

@@ -898,6 +898,17 @@ class TestRssiCalibration:
         with pytest.raises(ValueError):
             fit_rssi_calibration(result.model, ds.geometry, ds.records)
 
+    def test_no_measured_records_rejected_before_rendering(self, tmp_path, monkeypatch):
+        ds = small_dataset(tmp_path, n_tx=3, res=(6, 3))
+        model = init_field_model(ds.geometry.bbox, (6, 6, 6), 4, 16, seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered with no measured RSSI to fit")
+
+        monkeypatch.setattr(trainer, "render_spectra", refuse)
+        with pytest.raises(ValueError, match="no records with measured RSSI"):
+            fit_rssi_calibration(model, ds.geometry, ds.records)
+
 
 class TestConfigValidation:
     def test_default_upsample_schedule(self):

@@ -326,3 +326,21 @@ class TestInitGrid:
     def test_infinite_box_rejected(self, corners):
         with pytest.raises(ValueError, match="must be finite"):
             Aabb(*corners)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_values_rejected(self, bad, dtype):
+        values = np.zeros((2 * 2 * 3, 2), dtype=dtype)
+        values[7, 1] = bad
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            VoxelGrid((2, 2, 3), 2, unit_box(), values)
+
+    def test_finiteness_check_holds_no_grid_sized_mask(self):
+        values = np.full((64 ** 3, 24), 0.5)
+        tracemalloc.start()
+        try:
+            VoxelGrid((64, 64, 64), 24, unit_box(), values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # a bool mask of the grid would be 6.3 MB
