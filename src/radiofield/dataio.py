@@ -306,13 +306,25 @@ def _fields_of(path):
                           f"({type(e).__name__}: {e})") from e
 
 
+def _json_number(value, name: str, n: int | None = None):
+    """A JSON number as a float, or with n a list of n of them as an (n,)
+    float64 array; TypeError naming the field otherwise. Checked, not
+    coerced: true is no 1.0 and "0.22" no 0.22."""
+    items = [value] if n is None else value
+    if not (type(items) is list and (n is None or len(items) == n)
+            and all(type(v) in (int, float) for v in items)):
+        want = "a number" if n is None else f"a list of {n} numbers"
+        raise TypeError(f"{name} must be {want}, got {value!r}")
+    return float(value) if n is None else np.array(items, dtype=np.float64)
+
+
 def _scene_geometry(doc: dict) -> SceneGeometry:
     """Geometry from the layout that a manifest's scene section and a scene
     file share: rx_position, bbox {min_corner, max_corner}, spectrum_res."""
     return SceneGeometry(
-        rx_position=np.array(doc["rx_position"], dtype=np.float64),
-        bbox=Aabb(np.array(doc["bbox"]["min_corner"], dtype=np.float64),
-                  np.array(doc["bbox"]["max_corner"], dtype=np.float64)),
+        rx_position=_json_number(doc["rx_position"], "rx_position", 3),
+        bbox=Aabb(_json_number(doc["bbox"]["min_corner"], "min_corner", 3),
+                  _json_number(doc["bbox"]["max_corner"], "max_corner", 3)),
         spectrum_res=tuple(doc["spectrum_res"]))
 
 
@@ -326,9 +338,11 @@ def load_scene_file(path):
         geometry = _scene_geometry({"spectrum_res": DEFAULT_SPECTRUM_RES, **doc})
         scene = SyntheticScene(
             bbox=geometry.bbox, rx_position=geometry.rx_position,
-            blobs=[Blob(b["center"], b["radius"], b["peak_density"], b["emission"])
-                   for b in doc["blobs"]],
-            tx_modulation=doc.get("tx_modulation", 0.0))
+            blobs=[Blob(_json_number(b["center"], f"blob {i} center", 3),
+                        *(_json_number(b[key], f"blob {i} {key}")
+                          for key in ("radius", "peak_density", "emission")))
+                   for i, b in enumerate(doc["blobs"])],
+            tx_modulation=_json_number(doc.get("tx_modulation", 0.0), "tx_modulation"))
     return scene, geometry
 
 
@@ -399,29 +413,31 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"{manifest}: not a dataset manifest")
     with _fields_of(manifest):
         scene = doc["scene"]
-        normalization = float(scene["normalization"])
+        normalization = _json_number(scene["normalization"], "normalization")
         units = scene.get("units", "linear")
         geometry = _scene_geometry(scene)
         records = []
-        for rec in doc["records"]:
+        for i, rec in enumerate(doc["records"]):
+            # indexing first: a record that is no JSON object is a TypeError
+            tx_position = _json_number(rec["tx_position"], f"record {i} tx_position", 3)
+            rssi_dbm = rec.get("rssi_dbm")
             records.append(DatasetRecord(
-                tx_position=np.array(rec["tx_position"], dtype=np.float64),
-                spectrum_path=rec["spectrum_path"],
-                rssi_dbm=rec.get("rssi_dbm"),
+                tx_position=tx_position, spectrum_path=rec["spectrum_path"],
+                rssi_dbm=(None if rssi_dbm is None
+                          else _json_number(rssi_dbm, f"record {i} rssi_dbm")),
             ))
     if not (math.isfinite(normalization) and normalization > 0):
         raise FormatError(f"{manifest}: normalization must be positive and finite")
     if not isinstance(units, str):
         raise FormatError(f"{manifest}: units must be a string")
     for i, rec in enumerate(records):
-        if rec.tx_position.shape != (3,) or not np.all(np.isfinite(rec.tx_position)):
+        if not np.all(np.isfinite(rec.tx_position)):
             raise FormatError(f"{manifest}: record {i} tx_position must be three "
                               f"finite numbers, got {rec.tx_position.tolist()}")
         if not isinstance(rec.spectrum_path, str) or "\0" in rec.spectrum_path:
             raise FormatError(f"{manifest}: record {i} spectrum_path must be a "
                               f"file name")
-        if rec.rssi_dbm is not None and not (
-                type(rec.rssi_dbm) in (int, float) and math.isfinite(rec.rssi_dbm)):
+        if rec.rssi_dbm is not None and not math.isfinite(rec.rssi_dbm):
             raise FormatError(f"{manifest}: record {i} rssi_dbm must be a finite "
                               f"number, got {rec.rssi_dbm!r}")
     for rec in records:
@@ -612,12 +628,10 @@ def load_checkpoint(path):
         if type(meta["deform_enabled"]) is not bool:
             raise TypeError(f"deform_enabled must be true or false, "
                             f"got {meta['deform_enabled']!r}")
-        if type(meta["density_bias"]) not in (int, float):
-            raise TypeError(f"density_bias must be a number, got {meta['density_bias']!r}")
         feature_dim = meta["feature_dim"]
-        bbox = Aabb(np.array(meta["bbox_min"], dtype=np.float64),
-                    np.array(meta["bbox_max"], dtype=np.float64))
-        density_bias = float(meta["density_bias"])
+        bbox = Aabb(_json_number(meta["bbox_min"], "bbox_min", 3),
+                    _json_number(meta["bbox_max"], "bbox_max", 3))
+        density_bias = _json_number(meta["density_bias"], "density_bias")
     if len(dims) != 3 or not all(type(d) is int for d in dims):
         raise FormatError(f"{path}: grid_dims must be three integers, got {list(dims)}")
     if not (np.all(np.isfinite(bbox.extent)) and math.isfinite(density_bias)):

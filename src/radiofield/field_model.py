@@ -385,8 +385,7 @@ def static_terms(model: FieldModel, feat: np.ndarray, ray_of: np.ndarray,
                        enc_dir=enc_dir if keep_encodings else None)
 
 
-def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
-                   want_cache: bool = False):
+def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray):
     """Emitted power of the rows of `static` under a transmitter, from its
     position encoding enc_tx: (width,) for every ray or (R, width) per ray.
 
@@ -395,9 +394,9 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
     encoding to a logit, which a sigmoid takes into (0, 1). Each first layer
     adds its one varying term to the static ones: enc(tx) W_tx^T per ray, and
     the corrected feature's term per row. Returns (signal per row, cache):
-    the cache `signal_backward` takes with want_cache, None without.
+    the cache `signal_backward` takes if `static` kept its encodings, else None.
     """
-    ray_of = static.ray_of
+    ray_of, want_cache = static.ray_of, static.enc_dir is not None
     if model.deform_enabled:
         n_rays, width = len(static.dir_pre), enc_tx.shape[-1]
         # one row per ray even for a shared transmitter: the product is then
@@ -422,10 +421,9 @@ def signal_forward(model: FieldModel, static: StaticTerms, enc_tx: np.ndarray,
 
 
 def signal_backward(model: FieldModel, cache, d_signal: np.ndarray, grads: GradientSet):
-    """Adjoint of signal_forward (taken with want_cache=True from StaticTerms
-    that kept their encodings) at the float array d_signal; adds the MLP
-    gradients into grads, returns d_feat. The nets' gradients are taken in
-    their dtype, and so is d_feat.
+    """Adjoint of signal_forward (from StaticTerms that kept their encodings)
+    at the float array d_signal; adds the MLP gradients into grads, returns
+    d_feat. The nets' gradients are taken in their dtype, and so is d_feat.
 
     The gradient of the corrected feature flows both to the static feature
     (returned, for the grid scatter) and through the deformation net. The

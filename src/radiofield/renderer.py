@@ -17,7 +17,8 @@ spectrum's directions in blocks of whole rays of bounded sample count, and
 runs one table and one density pass per block for many transmitters and one
 signal pass each; a spectrum render is its one-transmitter case, `trace_ray`
 the forward over a one-direction table, and the trainer's batches the forward
-over cells of its stage table.
+over cells of its stage table. Only `density_pass`'s keep_encodings decides
+whether a pass keeps what the adjoint reads: `forward_segments` always does.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class SegmentTrace:
     t_final: np.ndarray        # per ray
     static: StaticTerms        # signal nets' static inputs, on the kept samples
     signal_kept: np.ndarray | None = None
-    sig_cache: object = None   # signal_forward cache, with want_cache
+    sig_cache: object = None   # signal_forward cache, with kept encodings
 
 
 def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
@@ -331,26 +332,25 @@ def density_pass(model: FieldModel, table: SampleTable, cells: np.ndarray,
                         excl_prefix=excl, weights=w, t_final=t_out, static=static)
 
 
-def signal_pass(model: FieldModel, trace: SegmentTrace, tx: np.ndarray,
-                want_cache: bool = False):
+def signal_pass(model: FieldModel, trace: SegmentTrace, tx: np.ndarray):
     """The transmitter half of a render: the signal nets on a density pass's
     kept samples for transmitter position tx, (3,) for all rays or
     (n_rays, 3) per ray, composited with the pass's weights.
 
     Returns (accumulated per ray, signal per kept sample, signal_forward
-    cache or None).
+    cache): the cache exists when the density pass kept its encodings.
     """
     signal_kept, sig_cache = signal_forward(model, trace.static,
-                                            model.encode_positions(tx), want_cache)
+                                            model.encode_positions(tx))
     r_out = accumulate(trace.weights, signal_kept, trace.ray_of_kept,
                        len(trace.t_final))
     return r_out, signal_kept, sig_cache
 
 
 def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
-                     cells: np.ndarray, tau: float, want_cache: bool = False):
+                     cells: np.ndarray, tau: float):
     """Render rays of a sample table with empty-space skipping: a
-    `density_pass` and one `signal_pass`.
+    `density_pass` and one `signal_pass`, keeping what `backward_segments` reads.
 
     cells picks the table ray of each rendered ray. tx is the transmitter
     position, (3,) for all rays or (n_rays, 3) per ray. Samples with density
@@ -358,9 +358,8 @@ def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
     compositing runs on per-ray segments of them. Returns (accumulated per
     ray, final transmittance per ray, trace).
     """
-    trace = density_pass(model, table, cells, tau, keep_encodings=want_cache)
-    r_out, trace.signal_kept, trace.sig_cache = signal_pass(model, trace, tx,
-                                                            want_cache)
+    trace = density_pass(model, table, cells, tau, keep_encodings=True)
+    r_out, trace.signal_kept, trace.sig_cache = signal_pass(model, trace, tx)
     # spent on the one transmitter, and the adjoint does not read it
     trace.static.x_pre = None
     return r_out, trace.t_final, trace
@@ -369,9 +368,9 @@ def forward_segments(model: FieldModel, table: SampleTable, tx: np.ndarray,
 def backward_segments(model: FieldModel, trace: SegmentTrace, d_r: np.ndarray,
                       d_t: np.ndarray, grads: GradientSet,
                       sample_scale: np.ndarray | None = None) -> None:
-    """Adjoint of `forward_segments` (taken with want_cache=True): chains
-    upstream dL/dR and dL/dT_K per ray back through compositing, the nets and
-    the grids, accumulating into grads (at its grid rows, `grid_index`).
+    """Adjoint of `forward_segments`, on its trace: chains upstream dL/dR and
+    dL/dT_K per ray back through compositing, the nets and the grids,
+    accumulating into grads (at its grid rows, `grid_index`).
 
     Without sample_scale this is the exact adjoint; with it, each kept
     sample's dL/dsigma and dL/dS are multiplied by its entry before they

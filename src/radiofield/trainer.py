@@ -447,7 +447,7 @@ def _fit(dataset: Dataset, config: TrainConfig, log_fn, eval_rays) -> TrainResul
         rec = rng.integers(0, n_records, config.batch_rays)
         cell = rng.integers(0, n_cells, config.batch_rays)
         r_hat, t_k, trace = _forward_batch(model, cache, tx_positions[rec], cell,
-                                           config.tau, want_cache=True)
+                                           config.tau)
         sl_loss, d_r = spectrum_mse(r_hat, targets[rec, cell])
         bg_loss, d_t = background_entropy(t_k)
         tot = total_loss(sl_loss, bg_loss, config.bg_weight)

@@ -29,8 +29,9 @@ _RETRIES = 2     # smaller steps tried before an entry counts as on a kink
 
 
 def branch_pattern(trace, final_transmittance: np.ndarray) -> np.ndarray:
-    """Sign of every ReLU pre-activation in a _forward_batch trace (taken with
-    want_cache=True), plus the set of rays the background entropy clamps.
+    """Sign of every ReLU pre-activation in a _forward_batch trace, whose
+    signal cache holds every net's layer inputs, plus the set of rays the
+    background entropy clamps.
 
     A net's cache holds each layer's input, so every input after the first is
     a hidden ReLU's output, positive exactly where its pre-activation is."""
@@ -45,8 +46,7 @@ def pipeline_gradient(model, cache, txs, cells, targets, bg_weight: float):
     """Analytic gradients of the render-and-loss pipeline on a ray batch
     (no skipping), plus evaluate() -> (loss, branch pattern) for differencing."""
     def forward():
-        r_hat, t_k, trace = _forward_batch(model, cache, txs, cells, tau=0.0,
-                                           want_cache=True)
+        r_hat, t_k, trace = _forward_batch(model, cache, txs, cells, tau=0.0)
         sl, d_r = spectrum_mse(r_hat, targets)
         bl, d_t = background_entropy(t_k)
         return total_loss(sl, bl, bg_weight), trace, t_k, d_r, d_t

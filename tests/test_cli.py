@@ -611,6 +611,7 @@ class TestTrainInferEval:
         ("enc_dir_levels", 2.0), ("enc_dir_levels", True),
         ("feature_dim", "4"), ("feature_dim", 4.0),
         ("density_bias", "-1.0"), ("density_bias", None),
+        ("bbox_min", ["0", "0", "0"]), ("bbox_max", [2.0, 2.0, True]),
     ])
     def test_mistyped_metadata_is_format_error(self, pipeline, tmp_path, key, value):
         # checked, not coerced: "false" would load with deformation on, 5.7 as 5

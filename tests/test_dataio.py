@@ -346,7 +346,14 @@ class TestGenerateDataset:
                      lambda doc: doc["scene"].update(spectrum_res=[6.5, 3]),
                      lambda doc: doc["scene"].update(spectrum_res=[6, 3, 1]),
                      lambda doc: doc["scene"].update(spectrum_res=["6", "3"]),
-                     lambda doc: doc.update(records=None)):
+                     lambda doc: doc.update(records=None),
+                     lambda doc: doc["records"].__setitem__(0, [1.0, 2.0, 3.0]),
+                     # numbers are checked, not coerced: each of these once
+                     # loaded as the number it spells
+                     lambda doc: doc["scene"].update(normalization=True),
+                     lambda doc: doc["scene"].update(normalization="0.22"),
+                     lambda doc: doc["records"][1].update(tx_position=["1", "1", "1"]),
+                     lambda doc: doc["scene"].update(rx_position=[True, True, False])):
             doc = json.loads(json.dumps(good))
             edit(doc)
             manifest.write_text(json.dumps(doc))
@@ -356,8 +363,8 @@ class TestGenerateDataset:
 
 class TestSceneValidation:
     """Non-finite or out-of-range scene parameters are rejected on
-    construction, naming the field, and a scene file carrying one is a
-    FormatError."""
+    construction, naming the field, and a scene file carrying one, or a
+    number of the wrong JSON type, is a FormatError."""
 
     @pytest.mark.parametrize("field, value", [
         ("radius", float("nan")), ("radius", float("inf")), ("radius", 0.0),
@@ -381,9 +388,19 @@ class TestSceneValidation:
         (lambda doc: doc["blobs"][0].update(peak_density=float("inf")), "peak_density"),
         (lambda doc: doc.update(tx_modulation=float("nan")), "tx_modulation"),
         (lambda doc: doc["bbox"].update(max_corner=[2.0, 2.0, float("inf")]),
-         "max_corner")],
+         "max_corner"),
+        # numbers are checked, not coerced: the first six once loaded as a scene
+        (lambda doc: doc["rx_position"].__setitem__(2, "1.75"), "rx_position"),
+        (lambda doc: doc["bbox"]["min_corner"].__setitem__(0, False), "min_corner"),
+        (lambda doc: doc.update(tx_modulation=True), "tx_modulation"),
+        (lambda doc: doc["blobs"][0].update(center=["1", "1", "1.3"]), "blob 0 center"),
+        (lambda doc: doc["blobs"][0].update(peak_density=True), "blob 0 peak_density"),
+        (lambda doc: doc["blobs"][0].update(radius="0.3"), "blob 0 radius"),
+        (lambda doc: doc["bbox"].update(max_corner=[2, 2]), "max_corner")],
         ids=["radius_nan", "radius_inf", "peak_density_inf", "tx_modulation_nan",
-             "bbox_inf"])
+             "bbox_inf", "rx_string", "min_corner_bool", "tx_modulation_bool",
+             "center_strings", "peak_density_bool", "radius_string",
+             "max_corner_short"])
     def test_non_finite_scene_file_value_is_format_error(self, tmp_path, edit, field):
         doc = {"bbox": {"min_corner": [0, 0, 0], "max_corner": [2, 2, 2]},
                "rx_position": [1.0, 1.0, 0.5],

@@ -22,7 +22,9 @@ from radiofield.renderer import (
     SampleTable,
     SceneGeometry,
     backward_segments,
+    density_pass,
     forward_segments,
+    signal_pass,
 )
 from radiofield.voxel_grid import Aabb
 
@@ -35,20 +37,24 @@ def tiny_model(seed=11, feature_dim=2, width=8, dims=(4, 4, 4)):
     return init_field_model(unit_box(), dims, feature_dim, width, seed=seed)
 
 
+def ray_table(model):
+    """The sample table of a small spectrum in the unit box."""
+    geo = SceneGeometry(rx_position=np.array([0.45, 0.55, 0.2]), bbox=unit_box(),
+                        spectrum_res=(4, 2))
+    return SampleTable(geo, model)
+
+
 def ray_gradient(model, tx, cells, d_r, d_t):
     """Parameter gradients of L = d_r . R + d_t . T_K over rays `cells` of a
     small spectrum, from the ray engine's adjoint, plus loss() for differencing
     and the forward trace."""
-    geo = SceneGeometry(rx_position=np.array([0.45, 0.55, 0.2]), bbox=unit_box(),
-                        spectrum_res=(4, 2))
-    table = SampleTable(geo, model)
+    table = ray_table(model)
 
     def loss():
         r, t_k, _ = forward_segments(model, table, tx, cells, tau=0.0)
         return float(d_r @ r + d_t @ t_k)
 
-    _, _, trace = forward_segments(model, table, tx, cells, tau=0.0,
-                                   want_cache=True)
+    _, _, trace = forward_segments(model, table, tx, cells, tau=0.0)
     grads = GradientSet.zeros_like(model)
     backward_segments(model, trace, d_r, d_t, grads)
     return grads, loss, trace
@@ -388,6 +394,25 @@ class TestModelBackward:
                 fd = (hi - lo) / (2 * h)
                 got = grads[name].reshape(-1)[k]
                 assert abs(got - fd) <= 1e-4 * abs(fd) + 1e-6, (name, k, got, fd)
+
+    def test_forward_segments_trace_is_adjoint_ready(self):
+        # forward_segments takes no cache switch: its trace holds what
+        # backward_segments reads, and gives the gradients of a density pass
+        # that keeps its encodings followed by a signal pass, bit for bit
+        rng = np.random.default_rng(34)
+        m = tiny_model(seed=35)
+        m.feature_grid.values[:] = rng.normal(size=m.feature_grid.values.shape)
+        tx, cells = np.array([0.6, 0.4, 0.5]), np.array([0, 2, 5, 7])
+        d_r, d_t = rng.normal(size=4), rng.normal(size=4)
+        grads, _, trace = ray_gradient(m, tx, cells, d_r, d_t)
+        assert trace.sig_cache is not None and trace.static.enc_x is not None
+        want = density_pass(m, ray_table(m), cells, 0.0, keep_encodings=True)
+        _, want.signal_kept, want.sig_cache = signal_pass(m, want, tx)
+        want_grads = GradientSet.zeros_like(m)
+        backward_segments(m, want, d_r, d_t, want_grads)
+        for name, g in want_grads.buffers.items():
+            assert np.any(g != 0), name
+            assert np.array_equal(grads[name], g), name
 
     def test_feature_gradient_limited_to_support(self):
         m = tiny_model(dims=(6, 6, 6))

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from radiofield import renderer
+from radiofield import field_model, renderer
 from radiofield.field_model import GradientSet, init_field_model
 from radiofield.renderer import (
     SampleTable,
@@ -341,8 +341,7 @@ class TestRenderRay:
         # the forward and its adjoint run over zero kept rows, and the
         # adjoint adds nothing to any gradient
         table = SampleTable(geo, m, directions=up)
-        r, t_k, trace = forward_segments(m, table, np.zeros(3), np.arange(1), 1e-4,
-                                         want_cache=True)
+        r, t_k, trace = forward_segments(m, table, np.zeros(3), np.arange(1), 1e-4)
         assert r.dtype == np.float64 and r[0] == 0.0 and t_k[0] == 1.0
         assert trace.static.feat.shape == (0, m.feature_dim)
         assert trace.signal_kept.shape == (0,)
@@ -593,6 +592,30 @@ class TestRenderBlocks:
                 d = direction_from_angles(m_i, n_i, geo.spectrum_res)
                 r, _ = reference_ray(m, geo, tx, d, step, tau=0.01)
                 assert spec[m_i, n_i] == pytest.approx(r, rel=1e-12, abs=1e-15)
+
+    def test_render_keeps_no_adjoint_cache(self, monkeypatch):
+        # no net keeps its hidden outputs and no block's static terms keep
+        # their encodings: a render holds nothing for the adjoint
+        monkeypatch.setattr(renderer, "_RENDER_BLOCK", 7)
+        modes, statics = [], []
+        mlp_forward, density_pass = field_model.mlp_forward, renderer.density_pass
+
+        def spy_mlp_forward(mlp, pre, want_cache=False):
+            modes.append(want_cache)
+            return mlp_forward(mlp, pre, want_cache)
+
+        def spy_density_pass(*args, **kwargs):
+            trace = density_pass(*args, **kwargs)
+            statics.append(trace.static)
+            return trace
+
+        monkeypatch.setattr(field_model, "mlp_forward", spy_mlp_forward)
+        monkeypatch.setattr(renderer, "density_pass", spy_density_pass)
+        txs = np.random.default_rng(36).uniform(-1.5, 1.5, (2, 3))
+        render_spectra(smooth_model(seed=37), demo_geometry(), txs)
+        assert len(statics) > 1 and modes
+        assert not any(modes)
+        assert all(st.enc_x is None and st.enc_dir is None for st in statics)
 
     def test_render_memory_is_bounded_by_the_block(self):
         # 572,520 samples: rendered in one pass, their table, encodings and

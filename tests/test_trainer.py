@@ -601,8 +601,7 @@ class TestReachedRows:
         model.feature_grid.values[:] = rng.normal(size=model.feature_grid.values.shape)
         cache = _StageCache(ds.geometry, model, step=0.1)
         _, _, trace = _forward_batch(model, cache, ds.tx_positions()[[0, 1, 2, 0]],
-                                     np.array([1, 7, 20, 31]), tau=0.0,
-                                     want_cache=True)
+                                     np.array([1, 7, 20, 31]), tau=0.0)
         d_r, d_t = rng.normal(size=4), rng.normal(size=4)
         dense = GradientSet.zeros_like(model)
         rows = GradientSet.zeros_like(model, grid_rows=cache.grid_rows)
@@ -803,8 +802,7 @@ class TestNearReceiverGradientScale:
         cache = _StageCache(ds.geometry, model, step=0.1)
         cells = np.array([1, 7, 20, 31])
         txs = ds.tx_positions()[[0, 1, 2, 0]]
-        _, _, trace = _forward_batch(model, cache, txs, cells, tau=0.0,
-                                     want_cache=True)
+        _, _, trace = _forward_batch(model, cache, txs, cells, tau=0.0)
         d_r = rng.normal(size=4)
         d_t = rng.normal(size=4)
 
